@@ -17,6 +17,7 @@
 package operon_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -67,9 +68,10 @@ func BenchmarkTable1(b *testing.B) {
 	b.Run("Electrical/I2", func(b *testing.B) {
 		d := design(b, "I2")
 		cfg := operon.DefaultConfig()
+		cfg.Mode = operon.ModeElectrical
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := operon.RunElectrical(d, cfg); err != nil {
+			if _, err := operon.RunContextWith(context.Background(), d, cfg, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -77,9 +79,10 @@ func BenchmarkTable1(b *testing.B) {
 	b.Run("Optical/I2", func(b *testing.B) {
 		d := design(b, "I2")
 		cfg := operon.DefaultConfig()
+		cfg.Mode = operon.ModeOptical
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := operon.RunOptical(d, cfg); err != nil {
+			if _, err := operon.RunContextWith(context.Background(), d, cfg, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -90,7 +93,7 @@ func BenchmarkTable1(b *testing.B) {
 			cfg := operon.DefaultConfig()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := operon.Run(d, cfg); err != nil {
+				if _, err := operon.RunContextWith(context.Background(), d, cfg, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -103,7 +106,7 @@ func BenchmarkTable1(b *testing.B) {
 		cfg.ILPTimeLimit = 30 * time.Second
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := operon.Run(d, cfg)
+			res, err := operon.RunContextWith(context.Background(), d, cfg, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -122,7 +125,7 @@ func BenchmarkILP(b *testing.B) {
 	d := ilpDesign(b)
 	cfg := operon.DefaultConfig()
 	cfg.SkipWDM = true
-	res, err := operon.Run(d, cfg)
+	res, err := operon.RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,14 +133,19 @@ func BenchmarkILP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	solve := func() (selection.ILPResult, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		return selection.SolveILP(inst, selection.ILPOptions{Ctx: ctx})
+	}
 	// One throwaway solve warms the cross-loss caches.
-	if _, err := selection.SolveILP(inst, selection.ILPOptions{TimeLimit: 60 * time.Second}); err != nil {
+	if _, err := solve(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ir, err := selection.SolveILP(inst, selection.ILPOptions{TimeLimit: 60 * time.Second})
+		ir, err := solve()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -175,7 +183,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				if tc.tracer != nil {
 					cfg.Obs = tc.tracer()
 				}
-				if _, err := operon.Run(d, cfg); err != nil {
+				if _, err := operon.RunContextWith(context.Background(), d, cfg, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -222,7 +230,7 @@ func BenchmarkFig8(b *testing.B) {
 	d := design(b, "I4")
 	cfg := operon.DefaultConfig()
 	cfg.SkipWDM = true
-	res, err := operon.Run(d, cfg)
+	res, err := operon.RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -252,7 +260,7 @@ func lrInstance(b *testing.B) *selection.Instance {
 	d := design(b, "I2")
 	cfg := operon.DefaultConfig()
 	cfg.SkipWDM = true
-	res, err := operon.Run(d, cfg)
+	res, err := operon.RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -311,7 +319,7 @@ func BenchmarkFig9(b *testing.B) {
 	// Time the hotspot-map binning for both layers on the I2 result.
 	d := design(b, "I2")
 	cfg := operon.DefaultConfig()
-	res, err := operon.Run(d, cfg)
+	res, err := operon.RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

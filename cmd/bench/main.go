@@ -279,7 +279,7 @@ func main() {
 			c.Workers = workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := operon.Run(d, c); err != nil {
+				if _, err := operon.RunContextWith(context.Background(), d, c, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -292,7 +292,7 @@ func main() {
 	// iteration would otherwise charge the cold-start allocations of those
 	// caches to whichever benchmark runs first and make the allocation
 	// profile incomparable with a full run's amortised numbers.
-	if _, err := operon.Run(d, cfg); err != nil {
+	if _, err := operon.RunContextWith(context.Background(), d, cfg, nil); err != nil {
 		fatal(err)
 	}
 
@@ -302,10 +302,12 @@ func main() {
 	parSpeedup(&rep, "operon-lr workersN vs workers1", seq.NsPerOp, par.NsPerOp)
 
 	if full {
+		ecfg, ocfg := cfg, cfg
+		ecfg.Mode, ocfg.Mode = operon.ModeElectrical, operon.ModeOptical
 		record("Table1/Electrical/"+*caseName, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := operon.RunElectrical(d, cfg); err != nil {
+				if _, err := operon.RunContextWith(context.Background(), d, ecfg, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -313,7 +315,7 @@ func main() {
 		record("Table1/Optical/"+*caseName, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := operon.RunOptical(d, cfg); err != nil {
+				if _, err := operon.RunContextWith(context.Background(), d, ocfg, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -408,7 +410,7 @@ func main() {
 		record("ILP/Selection", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ir, err := selection.SolveILP(ilpInst, selection.ILPOptions{TimeLimit: 60 * time.Second})
+				ir, err := solveILPWithin(ilpInst, 60*time.Second, selection.ILPOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -517,14 +519,14 @@ func main() {
 			record(flowName, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := operon.Run(md, cfg); err != nil {
+					if _, err := operon.RunContextWith(context.Background(), md, cfg, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 			mc := cfg
 			mc.SkipWDM = true
-			mres, err := operon.Run(md, mc)
+			mres, err := operon.RunContextWith(context.Background(), md, mc, nil)
 			if err != nil {
 				fatal(err)
 			}
@@ -537,9 +539,7 @@ func main() {
 			record(ilpName, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					ir, err := selection.SolveILP(sub, selection.ILPOptions{
-						TimeLimit: 120 * time.Second, MaxNodes: *megaNodes,
-					})
+					ir, err := solveILPWithin(sub, 120*time.Second, selection.ILPOptions{MaxNodes: *megaNodes})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -563,7 +563,7 @@ func main() {
 		ecoCold := record("ECO/Cold/I3", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := operon.Run(ecoD, ecoCfg); err != nil {
+				if _, err := operon.RunContextWith(context.Background(), ecoD, ecoCfg, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -656,9 +656,7 @@ func main() {
 		// embeds the behaviour counters in the report. The Nop sink keeps the
 		// pass cheap: only the atomic counters accumulate.
 		tracer := obs.New(nil)
-		if _, err := selection.SolveILP(ilpInst, selection.ILPOptions{
-			TimeLimit: 60 * time.Second, Obs: tracer,
-		}); err != nil {
+		if _, err := solveILPWithin(ilpInst, 60*time.Second, selection.ILPOptions{Obs: tracer}); err != nil {
 			fatal(err)
 		}
 		wcfgObs := wcfg
@@ -705,7 +703,7 @@ func main() {
 		histTracer := obs.New(nil)
 		hcfg := cfg
 		hcfg.Obs = histTracer
-		if _, err := operon.Run(d, hcfg); err != nil {
+		if _, err := operon.RunContextWith(context.Background(), d, hcfg, nil); err != nil {
 			fatal(err)
 		}
 		const msPerNs = 1e-6
@@ -800,12 +798,21 @@ func mustDesign(name string) signal.Design {
 	return d
 }
 
+// solveILPWithin runs one exact selection solve under a limit-long context
+// deadline.
+func solveILPWithin(inst *selection.Instance, limit time.Duration, opt selection.ILPOptions) (selection.ILPResult, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), limit)
+	defer cancel()
+	opt.Ctx = ctx
+	return selection.SolveILP(inst, opt)
+}
+
 // mustInstance reproduces the selection instance of the case so SolveLR can
 // be measured without the earlier stages.
 func mustInstance(d signal.Design, cfg operon.Config) *selection.Instance {
 	c := cfg
 	c.SkipWDM = true
-	res, err := operon.Run(d, c)
+	res, err := operon.RunContextWith(context.Background(), d, c, nil)
 	if err != nil {
 		fatal(err)
 	}
@@ -826,7 +833,7 @@ func mustInstance(d signal.Design, cfg operon.Config) *selection.Instance {
 func wdmInputs(d signal.Design, cfg operon.Config) ([]wdm.Connection, wdm.Config) {
 	c := cfg
 	c.SkipWDM = true
-	res, err := operon.Run(d, c)
+	res, err := operon.RunContextWith(context.Background(), d, c, nil)
 	if err != nil {
 		fatal(err)
 	}

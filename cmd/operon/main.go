@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -91,11 +92,13 @@ func main() {
 	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 
 	if *compare {
-		e, err := operon.RunElectrical(design, cfg)
+		ecfg, ocfg := cfg, cfg
+		ecfg.Mode, ocfg.Mode = operon.ModeElectrical, operon.ModeOptical
+		e, err := operon.RunContextWith(context.Background(), design, ecfg, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		o, err := operon.RunOptical(design, cfg)
+		o, err := operon.RunContextWith(context.Background(), design, ocfg, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -103,7 +106,7 @@ func main() {
 		fmt.Printf("optical    [GLOW-style]  : %10.2f mW\n", o.PowerMW)
 	}
 
-	res, err := operon.Run(design, cfg)
+	res, err := operon.RunContextWith(context.Background(), design, cfg, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -3,9 +3,7 @@ package operon
 import (
 	"context"
 
-	"operon/internal/codesign"
 	"operon/internal/obs"
-	"operon/internal/parallel"
 	"operon/internal/selection"
 )
 
@@ -17,8 +15,8 @@ type StopReason string
 const (
 	// StopNone means the run completed its full pipeline (Degraded=false).
 	StopNone StopReason = ""
-	// StopDeadline means a time budget expired: the context deadline, the
-	// deprecated Config.ILPTimeLimit, or the branch-and-bound node budget.
+	// StopDeadline means a time budget expired: the context deadline,
+	// Config.ILPTimeLimit, or the branch-and-bound node budget.
 	StopDeadline StopReason = "deadline"
 	// StopCanceled means the context was cancelled outright (shutdown or
 	// caller abort rather than a deadline).
@@ -26,8 +24,8 @@ const (
 )
 
 // stopReasonFor derives the StopReason for a degradation observed under
-// ctx: explicit cancellation wins; everything else (ctx deadline, the
-// deprecated ILP time limit, the node budget) is a deadline.
+// ctx: explicit cancellation wins; everything else (ctx deadline, the ILP
+// time limit, the node budget) is a deadline.
 func stopReasonFor(ctx context.Context) StopReason {
 	if ctx.Err() == context.Canceled {
 		return StopCanceled
@@ -53,39 +51,26 @@ func (r *Result) markDegraded(ctx context.Context, cfg Config, stage string) {
 	}
 }
 
-// degradeToElectricalFloor is the bottom rung of the degradation ladder: it
-// routes every hyper net of res (which must already carry HyperNets) with
-// its all-electrical RSMT fallback and selects that candidate everywhere.
-// The result is always feasible — electrical wires have no detection
-// constraint — and cheap enough to compute that the floor deliberately
-// ignores the (already cancelled) context; an expired deadline still yields
-// a legal routing instead of an error. The WDM stage is skipped: an
-// all-electrical selection has no optical connections. Candidate and
-// selection stage spans are re-recorded for the floor work, so StageTimes
-// reflects the path actually taken. The floor reuses the run's workspace (a
-// nil ws means throwaway scratch) while keeping its ignore-the-context
-// semantics: the pool runs under context.Background().
-func (r *Result) degradeToElectricalFloor(ctx context.Context, cfg Config, ws *Workspace) error {
+// floor is the bottom rung of the degradation ladder: it reruns the
+// candidates and selection stages of r (which must already carry HyperNets)
+// with ModeElectrical's generator and selector, so every hyper net takes its
+// all-electrical RSMT route. The result is always feasible — electrical
+// wires have no detection constraint — and cheap enough to compute that the
+// floor deliberately ignores the (already cancelled) context: the pool runs
+// under context.Background(), and an expired deadline still yields a legal
+// routing instead of an error. The WDM stage is skipped: an all-electrical
+// selection has no optical connections. The stage spans are re-recorded for
+// the floor work, so StageTimes reflects the path actually taken.
+func (r *Result) floor(ctx context.Context, cfg Config, ws *Workspace) error {
 	r.markDegraded(ctx, cfg, "candidates")
 
 	stop := startStage(cfg.Obs, "stage/candidates", &r.Times.Candidates)
-	hnets := r.HyperNets
-	nets := make([]selection.Net, len(hnets))
-	if err := parallel.ForEachScratchContext(context.Background(), ws.arenaOf(), len(hnets), cfg.Workers, func(w int, s *parallel.Scratch, i int) error {
-		var sp obs.Span
-		if cfg.Obs != nil {
-			sp = cfg.Obs.Span("net/electrical-floor", obs.WorkerLane(w), obs.I("net", i))
-		}
-		cand, err := electricalCandidate(hnets[i], cfg, grabScratch(s, cfg.Obs))
-		if err != nil {
-			return err
-		}
-		nets[i] = selection.Net{Bits: hnets[i].BitCount(), Cands: []codesign.Candidate{cand}}
-		if cfg.Obs != nil {
-			sp.End()
-		}
-		return nil
-	}); err != nil {
+	nets := make([]selection.Net, len(r.HyperNets))
+	all := make([]int, len(nets))
+	for i := range all {
+		all[i] = i
+	}
+	if err := buildNets(context.Background(), floorGen, all, r.HyperNets, nil, nil, nets, cfg, ws); err != nil {
 		return err
 	}
 	r.Nets = nets
@@ -96,12 +81,10 @@ func (r *Result) degradeToElectricalFloor(ctx context.Context, cfg Config, ws *W
 		return err
 	}
 	stop = startStage(cfg.Obs, "stage/selection", &r.Times.Selection)
-	sel, err := inst.AllElectrical()
-	if err != nil {
+	if err := runSelection(ctx, cfg, ModeElectrical, ws, inst, r); err != nil {
 		return err
 	}
-	r.Selection = sel
-	r.PowerMW = sel.PowerMW
+	r.PowerMW = r.Selection.PowerMW
 	stop(obs.S("mode", "electrical-floor"))
 	return nil
 }

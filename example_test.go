@@ -1,6 +1,7 @@
 package operon_test
 
 import (
+	"context"
 	"fmt"
 
 	operon "operon"
@@ -9,9 +10,9 @@ import (
 	"operon/internal/signal"
 )
 
-// ExampleRun routes a hand-built two-bus design and reports deterministic
+// ExampleRunContextWith routes a hand-built two-bus design and reports deterministic
 // structural facts about the solution.
-func ExampleRun() {
+func ExampleRunContextWith() {
 	design := signal.Design{
 		Name: "example",
 		Die:  geom.Rect{Hi: geom.Point{X: 4, Y: 4}},
@@ -34,7 +35,7 @@ func ExampleRun() {
 		bus("local", geom.Point{X: 1, Y: 1}, geom.Point{X: 1.05, Y: 1}, 4),
 	)
 
-	res, err := operon.Run(design, operon.DefaultConfig())
+	res, err := operon.RunContextWith(context.Background(), design, operon.DefaultConfig(), nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -56,18 +57,20 @@ func ExampleRun() {
 	// drc issues: 0
 }
 
-// ExampleRunElectrical contrasts the published baselines on a built-in
-// benchmark.
-func ExampleRunElectrical() {
+// ExampleRunContextWith_baselines contrasts the published baselines, which
+// run as their own modes, on a built-in benchmark.
+func ExampleRunContextWith_baselines() {
 	spec, _ := benchgen.SpecByName("I3")
 	design, _ := benchgen.Generate(spec)
 	cfg := operon.DefaultConfig()
-	elec, err := operon.RunElectrical(design, cfg)
+	cfg.Mode = operon.ModeElectrical
+	elec, err := operon.RunContextWith(context.Background(), design, cfg, nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	glow, err := operon.RunOptical(design, cfg)
+	cfg.Mode = operon.ModeOptical
+	glow, err := operon.RunContextWith(context.Background(), design, cfg, nil)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

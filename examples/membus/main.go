@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -26,11 +27,12 @@ func main() {
 	design := buildDesign()
 	cfg := operon.DefaultConfig()
 
-	res, err := operon.Run(design, cfg)
+	res, err := operon.RunContextWith(context.Background(), design, cfg, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	glow, err := operon.RunOptical(design, cfg)
+	cfg.Mode = operon.ModeOptical
+	glow, err := operon.RunContextWith(context.Background(), design, cfg, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -31,16 +32,20 @@ func main() {
 
 	design := buildMesh()
 	cfg := operon.DefaultConfig()
+	ctx := context.Background()
 
-	elec, err := operon.RunElectrical(design, cfg)
+	// The two baselines are the same flow under their own modes.
+	ecfg, ocfg := cfg, cfg
+	ecfg.Mode, ocfg.Mode = operon.ModeElectrical, operon.ModeOptical
+	elec, err := operon.RunContextWith(ctx, design, ecfg, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	glow, err := operon.RunOptical(design, cfg)
+	glow, err := operon.RunContextWith(ctx, design, ocfg, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := operon.Run(design, cfg)
+	res, err := operon.RunContextWith(ctx, design, cfg, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 	for _, lm := range []float64{4, 8, 12, 16, 20, 28} {
 		cfg := operon.DefaultConfig()
 		cfg.Lib.MaxLossDB = lm
-		res, err := operon.Run(design, cfg)
+		res, err := operon.RunContextWith(context.Background(), design, cfg, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func main() {
 	for _, cap := range []float64{1, 2, 4, 9, 16, 32} {
 		cfg := operon.DefaultConfig()
 		cfg.Elec.UnitCapPFPerCM = cap
-		res, err := operon.Run(design, cfg)
+		res, err := operon.RunContextWith(context.Background(), design, cfg, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

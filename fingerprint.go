@@ -11,7 +11,7 @@ import (
 )
 
 // Fingerprint returns a stable 32-byte content address of a solve instance:
-// two (design, cfg) pairs hash equal exactly when RunContext would produce
+// two (design, cfg) pairs hash equal exactly when RunContextWith would produce
 // the same Result for both (given the same, sufficiently large time budget).
 // It is the key of the serving layer's request coalescing and result cache —
 // identical instances are detected by content, never by request identity, so
@@ -36,12 +36,10 @@ import (
 //	  SubdivideCM               edge-subdivision threshold
 //	  MaxCandidates             co-design DP option cap
 //	  MaxCandidatesPerNet       merged candidate cap
-//	  Mode                      selection algorithm
+//	  Mode                      flow: candidate generator and selector
 //	  ILPTimeLimit, ILPMaxNodes exact-solver budgets (bound the incumbent)
 //	  LR.MaxIters, LR.ConvergeRatio, LR.StepScale
 //	                            Lagrangian trajectory knobs
-//	  LR.WarmStart              replaces the multiplier initialisation
-//	  LR.ReturnLambda           adds Result.LR.Lambda
 //	  Seed                      drives the deterministic clustering
 //	  SkipWDM                   drops the whole §4 stage
 //
@@ -59,7 +57,7 @@ import (
 // stable across processes, architectures, and releases that keep the tag.
 func Fingerprint(d signal.Design, cfg Config) [32]byte {
 	h := fpHasher{h: sha256.New()}
-	h.str("operon-fp-v1")
+	h.str("operon-fp-v2")
 
 	// Design.
 	h.str(d.Name)
@@ -110,11 +108,6 @@ func Fingerprint(d signal.Design, cfg Config) [32]byte {
 	h.num(int64(cfg.LR.MaxIters))
 	h.f64(cfg.LR.ConvergeRatio)
 	h.f64(cfg.LR.StepScale)
-	h.num(int64(len(cfg.LR.WarmStart)))
-	for _, v := range cfg.LR.WarmStart {
-		h.f64(v)
-	}
-	h.bool(cfg.LR.ReturnLambda)
 
 	var out [32]byte
 	h.h.Sum(out[:0])

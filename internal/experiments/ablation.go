@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -63,7 +64,7 @@ func Ablation(opt AblationOptions) ([]AblationRow, error) {
 			cfg := operon.DefaultConfig()
 			v.mut(&cfg)
 			cfg.SkipWDM = true
-			res, err := operon.Run(design, cfg)
+			res, err := operon.RunContextWith(context.Background(), design, cfg, nil)
 			if err != nil {
 				return nil, fmt.Errorf("ablation %q on %s: %w", v.name, name, err)
 			}

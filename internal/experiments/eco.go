@@ -83,7 +83,7 @@ func ECO(caseName string) ([]ECORow, error) {
 		}
 		resolveMS := float64(time.Since(start)) / float64(time.Millisecond)
 		start = time.Now()
-		if _, err := operon.Run(sess.Design(), cfg); err != nil {
+		if _, err := operon.RunContextWith(context.Background(), sess.Design(), cfg, nil); err != nil {
 			return nil, fmt.Errorf("eco %s: cold reference: %w", caseName, err)
 		}
 		coldMS := float64(time.Since(start)) / float64(time.Millisecond)

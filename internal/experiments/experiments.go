@@ -12,6 +12,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -77,16 +78,18 @@ func Table1(opt Table1Options) ([]Table1Row, error) {
 			cfg = *opt.Config
 		}
 
-		elec, err := operon.RunElectrical(design, cfg)
+		cfg.Mode = operon.ModeElectrical
+		elec, err := operon.RunContextWith(context.Background(), design, cfg, nil)
 		if err != nil {
 			return nil, err
 		}
-		glow, err := operon.RunOptical(design, cfg)
+		cfg.Mode = operon.ModeOptical
+		glow, err := operon.RunContextWith(context.Background(), design, cfg, nil)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Mode = operon.ModeLR
-		lr, err := operon.Run(design, cfg)
+		lr, err := operon.RunContextWith(context.Background(), design, cfg, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +108,7 @@ func Table1(opt Table1Options) ([]Table1Row, error) {
 			icfg := cfg
 			icfg.Mode = operon.ModeILP
 			icfg.ILPTimeLimit = limit
-			ilpRes, err := operon.Run(design, icfg)
+			ilpRes, err := operon.RunContextWith(context.Background(), design, icfg, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -291,11 +294,13 @@ func Fig9(caseName string, rows, cols int) (Fig9Maps, error) {
 		return Fig9Maps{}, err
 	}
 	cfg := operon.DefaultConfig()
-	glow, err := operon.RunOptical(design, cfg)
+	cfg.Mode = operon.ModeOptical
+	glow, err := operon.RunContextWith(context.Background(), design, cfg, nil)
 	if err != nil {
 		return Fig9Maps{}, err
 	}
-	op, err := operon.Run(design, cfg)
+	cfg.Mode = operon.ModeLR
+	op, err := operon.RunContextWith(context.Background(), design, cfg, nil)
 	if err != nil {
 		return Fig9Maps{}, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -44,7 +45,7 @@ func Robustness(caseName string, deltas []float64) ([]RobustnessRow, error) {
 		cfg := operon.DefaultConfig()
 		cfg.Lib = cfg.Lib.AtTemperature(v, dT)
 		cfg.SkipWDM = true
-		res, err := operon.Run(design, cfg)
+		res, err := operon.RunContextWith(context.Background(), design, cfg, nil)
 		if err != nil {
 			return nil, fmt.Errorf("robustness ΔT=%v on %s: %w", dT, caseName, err)
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 )
 
 // SolveDense runs the dense two-phase tableau simplex on p with default
@@ -46,7 +45,7 @@ func SolveDenseWithOptions(p Problem, opt Options) (Solution, error) {
 		return Solution{}, fmt.Errorf("%w: needs %d bytes", ErrTooLarge, bytes)
 	}
 	t := newTableau(p)
-	t.ctx, t.deadline = opt.effectiveBudget()
+	t.ctx = opt.ctx()
 	// Phase 1: drive artificial variables to zero.
 	if t.nArt > 0 {
 		status := t.iterate(t.phase1Cost(), t.nCols)
@@ -84,17 +83,16 @@ func SolveDenseWithOptions(p Problem, opt Options) (Solution, error) {
 // [nVars+nSlack, nCols) artificial. b holds the RHS, basis[r] the basic
 // column of row r.
 type tableau struct {
-	p        Problem
-	nVars    int
-	nSlack   int
-	nArt     int
-	nCols    int
-	a        [][]float64
-	b        []float64
-	basis    []int
-	maxIter  int
-	ctx      context.Context
-	deadline time.Time
+	p       Problem
+	nVars   int
+	nSlack  int
+	nArt    int
+	nCols   int
+	a       [][]float64
+	b       []float64
+	basis   []int
+	maxIter int
+	ctx     context.Context
 }
 
 // tableauBytes estimates the dense tableau allocation for p.
@@ -247,13 +245,8 @@ func (t *tableau) iterate(c []float64, maxCol int) Status {
 	stall := 0
 	prevObj := math.Inf(1)
 	for iter := 0; iter < t.maxIter; iter++ {
-		if iter%32 == 0 {
-			if t.ctx.Err() != nil {
-				return IterLimit
-			}
-			if !t.deadline.IsZero() && time.Now().After(t.deadline) {
-				return IterLimit
-			}
+		if iter%32 == 0 && t.ctx.Err() != nil {
+			return IterLimit
 		}
 		rc := t.reducedCosts(c)
 		// Choose the entering column: Dantzig normally, Bland under stall.

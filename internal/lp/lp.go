@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"operon/internal/obs"
 )
@@ -159,19 +158,11 @@ var ErrTooLarge = errors.New("lp: problem exceeds solver memory budget")
 
 // Options bound a solve beyond the problem statement.
 type Options struct {
-	// Ctx, when non-nil, bounds the solve: its deadline (if any) aborts the
-	// pivot loop with Status IterLimit once passed, and cancellation is
-	// observed every few pivots with the same effect. This is the single
-	// time-budget mechanism of the solver substrate; the legacy Deadline
-	// field below folds into it. A nil Ctx means context.Background().
+	// Ctx, when non-nil, bounds the solve: cancellation or an expired
+	// deadline, observed every few pivots, aborts the pivot loop with
+	// Status IterLimit. This is the single time-budget mechanism of the
+	// solver substrate. A nil Ctx means context.Background().
 	Ctx context.Context
-	// Deadline aborts the solve with Status IterLimit once passed.
-	// The zero time means no deadline.
-	//
-	// Deprecated: Deadline is a thin wrapper over the context deadline —
-	// it is merged with Ctx's deadline (the earlier one wins). New callers
-	// should pass a context with a deadline via Ctx instead.
-	Deadline time.Time
 	// MaxTableauBytes caps the solver workspace allocation; Solve returns
 	// ErrTooLarge above it. Zero means 1.5 GiB. The revised simplex needs
 	// far less memory than the dense tableau, so the same budget admits
@@ -183,13 +174,12 @@ type Options struct {
 	Obs *obs.Tracer
 }
 
-// effectiveBudget resolves the time budget of opt into the context to poll
-// for cancellation and the earliest applicable deadline: the legacy Deadline
-// field merged with the context's own deadline (zero time when neither is
-// set). Both simplex engines call it once per solve; it delegates to
-// ResolveBudget so all layers share one deadline source.
-func (opt Options) effectiveBudget() (context.Context, time.Time) {
-	return ResolveBudget(opt.Ctx, opt.Deadline)
+// ctx returns the context both simplex engines poll for their budget.
+func (opt Options) ctx() context.Context {
+	if opt.Ctx == nil {
+		return context.Background()
+	}
+	return opt.Ctx
 }
 
 const (

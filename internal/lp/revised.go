@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"operon/internal/obs"
 )
@@ -85,12 +84,11 @@ type BoundedSolver struct {
 	fCols                  []int32
 	fRowTaken              []bool
 
-	ctx      context.Context
-	deadline time.Time
-	iter     int
-	maxIter  int
-	stall    int
-	scanAt   int // partial-pricing cursor
+	ctx     context.Context
+	iter    int
+	maxIter int
+	stall   int
+	scanAt  int // partial-pricing cursor
 
 	// Behaviour counters, fetched from Options.Obs per solve; nil counters
 	// make the increments no-ops (a nil check per pivot, nothing more).
@@ -209,7 +207,7 @@ func (s *BoundedSolver) SolveBoundsInto(lo, up []float64, warm *Basis, opt Optio
 		return fmt.Errorf("lp: %d upper bounds for %d variables", len(up), s.n)
 	}
 	s.setBounds(lo, up)
-	s.ctx, s.deadline = opt.effectiveBudget()
+	s.ctx = opt.ctx()
 	s.iter = 0
 	s.maxIter = 200 * (s.m + s.nTot)
 	s.stall = 0
@@ -663,24 +661,13 @@ func (s *BoundedSolver) computeXB() {
 	copy(s.xB, rhs)
 }
 
-// expired reports whether the context, deadline, or iteration budget is
-// exhausted; it increments the shared iteration counter. The context and
-// clock are polled every 32 pivots so the check stays off the critical path
-// of the pivot loop; see DESIGN.md §8 for the cancellation-latency budget.
+// expired reports whether the context or iteration budget is exhausted; it
+// increments the shared iteration counter. The context is polled every 32
+// pivots so the check stays off the critical path of the pivot loop; see
+// DESIGN.md §8 for the cancellation-latency budget.
 func (s *BoundedSolver) expired() bool {
 	s.iter++
-	if s.iter > s.maxIter {
-		return true
-	}
-	if s.iter%32 == 0 {
-		if s.ctx.Err() != nil {
-			return true
-		}
-		if !s.deadline.IsZero() && time.Now().After(s.deadline) {
-			return true
-		}
-	}
-	return false
+	return s.iter > s.maxIter || s.iter%32 == 0 && s.ctx.Err() != nil
 }
 
 type phaseKind int

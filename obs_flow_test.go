@@ -1,6 +1,7 @@
 package operon
 
 import (
+	"context"
 	"testing"
 
 	"operon/internal/obs"
@@ -17,7 +18,7 @@ func runInstrumented(t *testing.T, mutate func(*Config)) (*Result, *obs.Collecto
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	res, err := Run(d, cfg)
+	res, err := RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestObsILPNodeEvents(t *testing.T) {
 // pure telemetry: an instrumented run selects bit-identical routes.
 func TestObsDoesNotChangeResults(t *testing.T) {
 	d := smallDesign(t)
-	plain, err := Run(d, DefaultConfig())
+	plain, err := RunContextWith(context.Background(), d, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

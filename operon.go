@@ -13,12 +13,13 @@
 // Quick start:
 //
 //	design, _ := benchgen.Generate(spec)      // or build a signal.Design
-//	res, err := operon.Run(design, operon.DefaultConfig())
+//	res, err := operon.RunContextWith(ctx, design, operon.DefaultConfig(), nil)
 //	fmt.Println(res.PowerMW, res.WDMStats)
 //
-// The two published baselines are available as RunElectrical (Streak-style
-// all-electrical RSMT routing) and RunOptical (GLOW-style all-optical
-// routing with electrical fallback on loss violations).
+// The two published baselines run through the same flow as two more modes:
+// ModeElectrical (Streak-style all-electrical RSMT routing) and ModeOptical
+// (GLOW-style all-optical routing with electrical fallback on loss
+// violations).
 package operon
 
 import (
@@ -32,8 +33,6 @@ import (
 	"operon/internal/geom"
 	"operon/internal/obs"
 	"operon/internal/optics"
-	"operon/internal/optics/bpm"
-	"operon/internal/parallel"
 	"operon/internal/power"
 	"operon/internal/selection"
 	"operon/internal/signal"
@@ -41,7 +40,10 @@ import (
 	"operon/internal/wdm"
 )
 
-// Mode selects the solution-determination algorithm.
+// Mode selects the flow: the candidate generator and the selector the
+// staged pipeline runs. ModeLR, ModeILP and ModeGreedy share OPERON's
+// co-design candidates and differ in selection; the two baselines bring
+// their own generator and selector.
 type Mode int
 
 const (
@@ -53,6 +55,16 @@ const (
 	// ModeGreedy selects each net's cheapest candidate independently and
 	// repairs violations; a cheap lower baseline used in ablations.
 	ModeGreedy
+	// ModeElectrical is the Streak-style baseline [14]: every hyper net is
+	// routed with an electrical rectilinear Steiner tree; power follows
+	// Eq. (6). It is the degradation floor itself, so it ignores the
+	// context, never sets Result.Degraded and runs no WDM stage.
+	ModeElectrical
+	// ModeOptical is the GLOW-style baseline [4]: every hyper net is routed
+	// fully optically on its primary Steiner baseline; nets that cannot
+	// meet the loss budget fall back to electrical wires. No
+	// optical-electrical mixing.
+	ModeOptical
 )
 
 // String implements fmt.Stringer.
@@ -62,9 +74,22 @@ func (m Mode) String() string {
 		return "ilp"
 	case ModeGreedy:
 		return "greedy"
+	case ModeElectrical:
+		return "electrical"
+	case ModeOptical:
+		return "optical"
 	default:
 		return "lr"
 	}
+}
+
+// flow is the Result.Flow label of a mode: "operon-<mode>" for the OPERON
+// selectors, the bare name for the two baselines.
+func (m Mode) flow() string {
+	if m == ModeElectrical || m == ModeOptical {
+		return m.String()
+	}
+	return "operon-" + m.String()
 }
 
 // Config collects every tunable of the flow. Obtain defaults from
@@ -89,9 +114,11 @@ type Config struct {
 	// caps keep the ILP tractable, as the paper's per-net candidate lists
 	// are short (Fig. 5(c) shows four).
 	MaxCandidatesPerNet int
-	// Mode picks the selection algorithm.
+	// Mode picks the flow (see Mode).
 	Mode Mode
-	// ILPTimeLimit bounds the ILP solve (the paper used 3000 s).
+	// ILPTimeLimit bounds the ILP solve (the paper used 3000 s); zero means
+	// no limit. The flow applies it as a context deadline around the ILP
+	// solve only, so the LR fallback still runs under the caller's context.
 	ILPTimeLimit time.Duration
 	// ILPMaxNodes bounds branch-and-bound nodes (0 = library default).
 	ILPMaxNodes int
@@ -108,7 +135,7 @@ type Config struct {
 	Workers int
 	// Obs, when non-nil, receives the flow's spans, events, and counters:
 	// stage spans ("stage/process", ...), per-hyper-net candidate spans on
-	// worker lanes, LR iterate events, ILP node events, and the LP/MCMF/BPM
+	// worker lanes, LR iterate events, ILP node events, and the LP/MCMF
 	// behaviour counters. Nil (the default) compiles the whole
 	// instrumentation path down to nil checks — see BenchmarkObsOverhead.
 	Obs *obs.Tracer
@@ -171,8 +198,8 @@ func startStage(t *obs.Tracer, name string, slot *time.Duration) func(attrs ...o
 type Result struct {
 	// Design echoes the input design's name.
 	Design string
-	// Flow names the pipeline that produced the result: "operon-lr",
-	// "operon-ilp", "electrical", "optical", ...
+	// Flow names the mode that produced the result: "operon-lr",
+	// "operon-ilp", "operon-greedy", "electrical" or "optical".
 	Flow string
 	// HyperNets is the signal-processing output (§3.1).
 	HyperNets []signal.HyperNet
@@ -197,7 +224,7 @@ type Result struct {
 	// WDMStats summarises the WDM pipeline (including its Degraded flag).
 	WDMStats wdm.Stats
 	// Degraded reports that the run hit a time budget (context deadline,
-	// cancellation, or the deprecated ILPTimeLimit) and took a fallback rung
+	// cancellation, or ILPTimeLimit) and took a fallback rung
 	// of the degradation ladder — LR incumbent instead of a finished ILP,
 	// electrical-only routing instead of co-design candidates, or a
 	// placement-derived WDM assignment instead of the min-cost flow. The
@@ -221,13 +248,9 @@ type Result struct {
 // #HPin columns).
 func (r *Result) Stats() signal.Stats { return signal.Summarize(r.HyperNets) }
 
-// Run executes the full OPERON flow on a design. It is RunContext with
-// context.Background(): no deadline, no cancellation, no degradation.
-func Run(d signal.Design, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), d, cfg)
-}
-
-// RunContext executes the full OPERON flow on a design under a context.
+// RunContextWith executes the flow that cfg.Mode selects on a design under
+// a context. It is the one solve entry point; Session.Resolve runs the same
+// staged pipeline with its last committed state to reuse.
 //
 // Cancelling ctx (or letting its deadline expire) never errors the run out:
 // the flow degrades along a fixed ladder and still returns a feasible
@@ -243,22 +266,20 @@ func Run(d signal.Design, cfg Config) (*Result, error) {
 //
 // The WDM stage degrades independently: cancelled mid-assignment it falls
 // back to the placement-derived wavelength assignment (wdm.Stats.Degraded).
+// ModeElectrical is the floor itself and ignores ctx.
 //
 // Cancellation is polled only at deterministic points (iteration and node
 // boundaries, every few simplex pivots), so a run that completes before its
-// deadline is bit-identical to Run on the same inputs. Each degradation
+// deadline is bit-identical to one without a deadline. Each degradation
 // emits a flow/degraded event and bumps the flow.degraded counter on
 // Config.Obs. A nil ctx means context.Background().
-func RunContext(ctx context.Context, d signal.Design, cfg Config) (*Result, error) {
-	return RunContextWith(ctx, d, cfg, nil)
-}
-
-// RunContextWith is RunContext with a caller-held Workspace: the per-worker
-// solver scratch survives across runs, so a caller solving many designs (or
-// a serving queue slot) amortises candidate-generation allocation to near
-// zero. A nil ws uses a run-local workspace (scratch still reused across
-// nets within the run). The workspace never affects results — only
-// allocation behaviour — and must not be shared by concurrent runs.
+//
+// ws is a caller-held Workspace: the per-worker solver scratch survives
+// across runs, so a caller solving many designs (or a serving queue slot)
+// amortises candidate-generation allocation to near zero. A nil ws uses a
+// run-local workspace (scratch still reused across nets within the run).
+// The workspace never affects results — only allocation behaviour — and
+// must not be shared by concurrent runs.
 func RunContextWith(ctx context.Context, d signal.Design, cfg Config, ws *Workspace) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -266,83 +287,28 @@ func RunContextWith(ctx context.Context, d signal.Design, cfg Config, ws *Worksp
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	res := &Result{Design: d.Name, Flow: "operon-" + cfg.Mode.String(), Obs: cfg.Obs}
-	bpmHits0, bpmMisses0 := bpm.CacheCounters()
-	var bpmSim0 obs.HistogramSnapshot
-	if cfg.Obs != nil {
-		bpmSim0 = bpm.SimDurations()
-	}
-	defer res.foldBPMCounters(cfg, bpmHits0, bpmMisses0, bpmSim0)
-
-	stop := startStage(cfg.Obs, "stage/process", &res.Times.Process)
-	hnets, err := process(d, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.HyperNets = hnets
-	stop(obs.I("hyper_nets", len(hnets)))
-
-	if ctx.Err() != nil {
-		// The budget was gone before candidate generation even started:
-		// straight to the floor.
-		if err := res.degradeToElectricalFloor(ctx, cfg, ws); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-
-	stop = startStage(cfg.Obs, "stage/candidates", &res.Times.Candidates)
-	nets, err := buildCoDesignNets(ctx, hnets, cfg, ws.arenaOf())
-	if err != nil {
-		if ctx.Err() != nil {
-			stop(obs.I("nets", 0), obs.S("aborted", "context"))
-			if err := res.degradeToElectricalFloor(ctx, cfg, ws); err != nil {
-				return nil, err
-			}
-			return res, nil
-		}
-		return nil, err
-	}
-	res.Nets = nets
-	stop(obs.I("nets", len(nets)))
-
-	inst, err := selection.NewInstance(nets, cfg.Lib)
-	if err != nil {
-		return nil, err
-	}
-	stop = startStage(cfg.Obs, "stage/selection", &res.Times.Selection)
-	if err := runSelection(ctx, cfg, ws, inst, lrOptions(ctx, cfg), res); err != nil {
-		return nil, err
-	}
-	stop(obs.S("mode", cfg.Mode.String()))
-	res.PowerMW = res.Selection.PowerMW
-
-	if !cfg.SkipWDM {
-		stop = startStage(cfg.Obs, "stage/wdm", &res.Times.WDM)
-		if err := res.assignWDMs(ctx, cfg); err != nil {
-			return nil, err
-		}
-		if res.WDMStats.Degraded {
-			res.markDegraded(ctx, cfg, "wdm")
-		}
-		stop(obs.I("wdms_used", res.WDMStats.FinalWDMs))
-	}
-	return res, nil
+	res, _, _, err := solve(ctx, d, cfg, ws, nil)
+	return res, err
 }
 
-// runSelection runs the configured solution-determination algorithm on inst
-// and fills res.Selection (plus the ILP/LR diagnostics), marking res degraded
-// when a solver hit its budget. lrOpt carries the resolved LR options — the
-// cold path passes lrOptions(ctx, cfg); Session.Resolve may add an opt-in
-// multiplier warm start on top. Shared by both so the selection trajectory is
-// identical by construction.
-func runSelection(ctx context.Context, cfg Config, ws *Workspace, inst *selection.Instance, lrOpt selection.LROptions, res *Result) error {
-	switch cfg.Mode {
+// runSelection runs the selector of mode on inst and fills res.Selection
+// (plus the ILP/LR diagnostics), marking res degraded when a solver hit its
+// budget.
+func runSelection(ctx context.Context, cfg Config, mode Mode, ws *Workspace, inst *selection.Instance, res *Result) error {
+	var err error
+	switch mode {
 	case ModeILP:
+		// The ILP budget is a deadline on the ILP solve alone; the LR
+		// fallback below keeps the caller's context.
+		ictx, cancel := ctx, context.CancelFunc(func() {})
+		if cfg.ILPTimeLimit > 0 {
+			ictx, cancel = context.WithTimeout(ctx, cfg.ILPTimeLimit)
+		}
 		ir, err := selection.SolveILP(inst, selection.ILPOptions{
-			Ctx: ctx, TimeLimit: cfg.ILPTimeLimit, MaxNodes: cfg.ILPMaxNodes,
+			Ctx: ictx, MaxNodes: cfg.ILPMaxNodes,
 			Workers: cfg.Workers, Arena: ws.arenaOf(), Obs: cfg.Obs,
 		})
+		cancel()
 		if err != nil {
 			return err
 		}
@@ -352,7 +318,7 @@ func runSelection(ctx context.Context, cfg Config, ws *Workspace, inst *selectio
 			// Rung 1 of the ladder: the paper falls back to the Lagrangian
 			// relaxation when the ILP exceeds its budget. Both selections are
 			// feasible; keep the cheaper one (ties go to the incumbent).
-			lr, err := selection.SolveLR(inst, lrOpt)
+			lr, err := selection.SolveLR(inst, lrOptions(ctx, cfg))
 			if err != nil {
 				return err
 			}
@@ -363,13 +329,20 @@ func runSelection(ctx context.Context, cfg Config, ws *Workspace, inst *selectio
 			res.markDegraded(ctx, cfg, "selection")
 		}
 	case ModeGreedy:
-		sel, err := inst.GreedyIndependent()
+		res.Selection, err = inst.GreedyIndependent()
+	case ModeElectrical:
+		res.Selection, err = inst.AllElectrical()
+	case ModeOptical:
+		// GLOW semantics: optical wherever feasible (candidate 0), electrical
+		// only on loss violation (Repair demotes the violators).
+		sel, err := inst.Evaluate(make([]int, len(inst.Nets)))
 		if err != nil {
 			return err
 		}
-		res.Selection = sel
+		res.Selection, err = inst.Repair(sel)
+		return err
 	default:
-		lr, err := selection.SolveLR(inst, lrOpt)
+		lr, err := selection.SolveLR(inst, lrOptions(ctx, cfg))
 		if err != nil {
 			return err
 		}
@@ -379,7 +352,7 @@ func runSelection(ctx context.Context, cfg Config, ws *Workspace, inst *selectio
 			res.markDegraded(ctx, cfg, "selection")
 		}
 	}
-	return nil
+	return err
 }
 
 // lrOptions resolves Config.LR for a flow-level solve: the flow context
@@ -399,265 +372,16 @@ func lrOptions(ctx context.Context, cfg Config) selection.LROptions {
 	return lrOpt
 }
 
-// foldBPMCounters adds the process-global BPM simulation-cache deltas of
-// this run to the tracer's bpm.cache_hits / bpm.cache_misses counters, and
-// merges the window's uncached-propagation latency delta into the tracer's
-// bpm/simulate histogram. The cache is process-wide, so concurrent
-// instrumented runs each fold in whatever traffic happened during their
-// window.
-func (r *Result) foldBPMCounters(cfg Config, hits0, misses0 int64, sim0 obs.HistogramSnapshot) {
-	if cfg.Obs == nil {
-		return
-	}
-	hits, misses := bpm.CacheCounters()
-	cfg.Obs.Counter("bpm.cache_hits").Add(hits - hits0)
-	cfg.Obs.Counter("bpm.cache_misses").Add(misses - misses0)
-	if delta := bpm.SimDurations().Sub(sim0); delta.Count > 0 {
-		// Same fixed default bounds on both sides, so the merge never fails.
-		_ = cfg.Obs.Histogram("bpm/simulate").Merge(delta)
-	}
-}
-
-// RunElectrical is the Streak-style baseline [14]: every hyper net is
-// routed with an electrical rectilinear Steiner tree; power follows Eq. (6).
-func RunElectrical(d signal.Design, cfg Config) (*Result, error) {
-	return RunElectricalContext(context.Background(), d, cfg)
-}
-
-// RunElectricalContext is RunElectrical under a context — offered for API
-// symmetry with RunContext. The electrical baseline is itself the flow's
-// degradation floor, so it always runs to completion regardless of ctx and
-// never sets Result.Degraded: aborting it could only return an error where
-// a cheap feasible routing was available. A nil ctx means
-// context.Background().
-func RunElectricalContext(ctx context.Context, d signal.Design, cfg Config) (*Result, error) {
-	_ = ctx // the floor ignores cancellation by design; see doc comment
-	res := &Result{Design: d.Name, Flow: "electrical", Obs: cfg.Obs}
-	stop := startStage(cfg.Obs, "stage/process", &res.Times.Process)
-	hnets, err := process(d, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.HyperNets = hnets
-	stop(obs.I("hyper_nets", len(hnets)))
-
-	stop = startStage(cfg.Obs, "stage/candidates", &res.Times.Candidates)
-	ws := NewWorkspace()
-	nets := make([]selection.Net, len(hnets))
-	if err := parallel.ForEachScratchContext(context.Background(), ws.arenaOf(), len(hnets), cfg.Workers, func(w int, s *parallel.Scratch, i int) error {
-		var sp obs.Span
-		if cfg.Obs != nil {
-			sp = cfg.Obs.Span("net/electrical", obs.WorkerLane(w), obs.I("net", i))
-		}
-		cand, err := electricalCandidate(hnets[i], cfg, grabScratch(s, cfg.Obs))
-		if err != nil {
-			return err
-		}
-		nets[i] = selection.Net{Bits: hnets[i].BitCount(), Cands: []codesign.Candidate{cand}}
-		if cfg.Obs != nil {
-			sp.End()
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	res.Nets = nets
-	stop(obs.I("nets", len(nets)))
-
-	inst, err := selection.NewInstance(nets, cfg.Lib)
-	if err != nil {
-		return nil, err
-	}
-	sel, err := inst.AllElectrical()
-	if err != nil {
-		return nil, err
-	}
-	res.Selection = sel
-	res.PowerMW = sel.PowerMW
-	return res, nil
-}
-
-// RunOptical is the GLOW-style baseline [4]: every hyper net is routed
-// fully optically on its Steiner baseline; nets that cannot meet the loss
-// budget fall back to electrical wires. No optical-electrical mixing.
-func RunOptical(d signal.Design, cfg Config) (*Result, error) {
-	return RunOpticalContext(context.Background(), d, cfg)
-}
-
-// RunOpticalContext is RunOptical under a context, with the same
-// degradation ladder as RunContext: candidate generation cut short drops to
-// the all-electrical floor, and a WDM assignment cut short falls back to
-// the placement-derived one. The selection step itself (evaluate + repair)
-// is cheap and always completes. A nil ctx means context.Background().
-func RunOpticalContext(ctx context.Context, d signal.Design, cfg Config) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	res := &Result{Design: d.Name, Flow: "optical", Obs: cfg.Obs}
-	stop := startStage(cfg.Obs, "stage/process", &res.Times.Process)
-	hnets, err := process(d, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.HyperNets = hnets
-	stop(obs.I("hyper_nets", len(hnets)))
-
-	if ctx.Err() != nil {
-		if err := res.degradeToElectricalFloor(ctx, cfg, nil); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-
-	stop = startStage(cfg.Obs, "stage/candidates", &res.Times.Candidates)
-	ws := NewWorkspace()
-	trees, err := baselineTrees(ctx, hnets, cfg, ws.arenaOf())
-	if err != nil {
-		if ctx.Err() == nil {
-			return nil, err
-		}
-		stop(obs.I("nets", 0), obs.S("aborted", "context"))
-		if err := res.degradeToElectricalFloor(ctx, cfg, ws); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	envs := buildEnvs(hnets, trees)
-	nets := make([]selection.Net, len(hnets))
-	if err := parallel.ForEachScratchContext(ctx, ws.arenaOf(), len(hnets), cfg.Workers, func(w int, s *parallel.Scratch, i int) error {
-		var sp obs.Span
-		if cfg.Obs != nil {
-			sp = cfg.Obs.Span("net/optical", obs.WorkerLane(w), obs.I("net", i))
-		}
-		scr := grabScratch(s, cfg.Obs)
-		in := codesign.Input{
-			Tree: trees[i][0],
-			Bits: hnets[i].BitCount(),
-			Lib:  cfg.Lib,
-			Elec: cfg.Elec,
-			Env:  envs[i],
-		}
-		allO := scr.fillLabels(len(trees[i][0].Edges), codesign.Optical)
-		var cands []codesign.Candidate
-		if cand, feasible := codesign.EvaluateWS(in, allO, scr.codesign); feasible {
-			cands = append(cands, cand)
-		}
-		fallback, err := electricalCandidate(hnets[i], cfg, scr)
-		if err != nil {
-			return err
-		}
-		cands = append(cands, fallback)
-		nets[i] = selection.Net{Bits: hnets[i].BitCount(), Cands: cands}
-		if cfg.Obs != nil {
-			sp.End(obs.I("cands", len(cands)))
-		}
-		return nil
-	}); err != nil {
-		if ctx.Err() == nil {
-			return nil, err
-		}
-		stop(obs.I("nets", 0), obs.S("aborted", "context"))
-		if err := res.degradeToElectricalFloor(ctx, cfg, ws); err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	res.Nets = nets
-	stop(obs.I("nets", len(nets)))
-
-	inst, err := selection.NewInstance(nets, cfg.Lib)
-	if err != nil {
-		return nil, err
-	}
-	stop = startStage(cfg.Obs, "stage/selection", &res.Times.Selection)
-	// GLOW semantics: optical wherever feasible (candidate 0), electrical
-	// only on loss violation (Repair demotes the violators).
-	choice := make([]int, len(nets))
-	sel, err := inst.Evaluate(choice)
-	if err != nil {
-		return nil, err
-	}
-	sel, err = inst.Repair(sel)
-	if err != nil {
-		return nil, err
-	}
-	res.Selection = sel
-	res.PowerMW = sel.PowerMW
-	stop(obs.I("violations", sel.Violations))
-
-	if !cfg.SkipWDM {
-		stop = startStage(cfg.Obs, "stage/wdm", &res.Times.WDM)
-		if err := res.assignWDMs(ctx, cfg); err != nil {
-			return nil, err
-		}
-		if res.WDMStats.Degraded {
-			res.markDegraded(ctx, cfg, "wdm")
-		}
-		stop(obs.I("wdms_used", res.WDMStats.FinalWDMs))
-	}
-	return res, nil
-}
-
-// process runs signal processing; the caller times it via startStage.
-func process(d signal.Design, cfg Config) ([]signal.HyperNet, error) {
-	if err := cfg.Lib.Validate(); err != nil {
-		return nil, err
-	}
-	if err := cfg.Elec.Validate(); err != nil {
-		return nil, err
-	}
-	hnets, err := signal.Process(d, signal.ProcessConfig{
-		WDMCapacity:         cfg.Lib.WDMCapacity,
-		PinMergeThresholdCM: cfg.PinMergeThresholdCM,
-		Seed:                cfg.Seed,
-		Workers:             cfg.Workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(hnets) == 0 {
-		return nil, fmt.Errorf("operon: design %q produced no hyper nets", d.Name)
-	}
-	return hnets, nil
-}
-
-// baselineTrees builds the optical baseline topologies per hyper net on the
-// per-worker Steiner workspaces of arena (the returned trees own their
-// memory — workspace scratch never escapes). The only possible error is
-// ctx's: cancellation stops dispatch and surfaces ctx.Err(), on which
-// callers degrade to the electrical floor.
-func baselineTrees(ctx context.Context, hnets []signal.HyperNet, cfg Config, arena *parallel.Arena) ([][]steiner.Tree, error) {
-	max := cfg.MaxBaselines
-	if max <= 0 {
-		max = 3
-	}
-	trees := make([][]steiner.Tree, len(hnets))
-	err := parallel.ForEachScratchContext(ctx, arena, len(hnets), cfg.Workers, func(w int, s *parallel.Scratch, i int) error {
-		scr := grabScratch(s, cfg.Obs)
-		trees[i] = steiner.BaselinesWS(hnets[i].Terminals(), steiner.Euclidean, max, scr.steiner)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return trees, nil
-}
-
 // buildEnvs collects, for every hyper net, the primary-baseline optical
 // segments of the other hyper nets whose bounding boxes overlap — the
-// crossing-estimation environment for the co-design DP.
-func buildEnvs(hnets []signal.HyperNet, trees [][]steiner.Tree) [][]geom.Segment {
-	envs, _ := buildEnvsContrib(hnets, trees)
-	return envs
-}
-
-// buildEnvsContrib is buildEnvs returning, alongside each net's environment,
-// the ascending list of net indices that contributed segments to it. A net's
+// crossing-estimation environment for candidate generation — and, alongside
+// each environment, the ascending list of net indices that contributed
+// segments to it. A net's
 // environment is exactly the concatenation of its contributors' primary-tree
 // segments in index order, so two solves whose contributor lists map to each
 // other net-for-net (with identical trees) see byte-identical environments —
 // the invariant incremental re-synthesis uses to decide candidate reuse.
-func buildEnvsContrib(hnets []signal.HyperNet, trees [][]steiner.Tree) ([][]geom.Segment, [][]int) {
+func buildEnvs(hnets []signal.HyperNet, trees [][]steiner.Tree) ([][]geom.Segment, [][]int) {
 	type netGeom struct {
 		segs []geom.Segment
 		box  geom.Rect
@@ -688,49 +412,6 @@ func buildEnvsContrib(hnets []signal.HyperNet, trees [][]steiner.Tree) ([][]geom
 		}
 	}
 	return envs, contribs
-}
-
-// buildCoDesignNets generates the full OPERON candidate sets. Cancelling
-// ctx stops dispatch of further nets (in-flight ones finish — the pool's
-// deterministic drain) and returns ctx.Err(); the caller then degrades to
-// the electrical floor.
-func buildCoDesignNets(ctx context.Context, hnets []signal.HyperNet, cfg Config, arena *parallel.Arena) ([]selection.Net, error) {
-	blStart := time.Now()
-	trees, err := baselineTrees(ctx, hnets, cfg, arena)
-	if err != nil {
-		return nil, err
-	}
-	// The baseline-topology sweep is the first half of the candidates
-	// stage; its own histogram separates Steiner construction from the
-	// co-design DP in the serving-side latency breakdown.
-	cfg.Obs.Histogram("stage/baselines").RecordDuration(time.Since(blStart))
-	envs := buildEnvs(hnets, trees)
-	nets := make([]selection.Net, len(hnets))
-	netHist := cfg.Obs.Histogram("net/candidates")
-	// Candidate generation is the widest fan-out of the flow; each net is
-	// tagged with the worker lane that produced it so the trace shows the
-	// pool's parallel tracks. The lane feeds telemetry only — results stay
-	// bit-identical across worker counts, with or without arena reuse.
-	err = parallel.ForEachScratchContext(ctx, arena, len(hnets), cfg.Workers, func(w int, s *parallel.Scratch, i int) error {
-		var sp obs.Span
-		if cfg.Obs != nil {
-			sp = cfg.Obs.Span("net/candidates", obs.WorkerLane(w), obs.I("net", i))
-		}
-		scr := grabScratch(s, cfg.Obs)
-		net, err := generateNetCandidates(i, hnets[i], trees[i], envs[i], cfg, scr)
-		if err != nil {
-			return err
-		}
-		nets[i] = net
-		if cfg.Obs != nil {
-			netHist.RecordDuration(sp.End(obs.I("cands", len(nets[i].Cands))))
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return nets, nil
 }
 
 // generateNetCandidates builds hyper net i's merged candidate list from its

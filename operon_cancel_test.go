@@ -91,7 +91,7 @@ func TestRunContextExpiredReturnsFloorFast(t *testing.T) {
 	defer cancel()
 
 	start := time.Now()
-	res, err := RunContext(ctx, d, cfg)
+	res, err := RunContextWith(ctx, d, cfg, nil)
 	elapsed := time.Since(start)
 	requireFeasibleDegraded(t, res, err, cfg, StopDeadline)
 	if elapsed > 100*time.Millisecond {
@@ -121,7 +121,7 @@ func TestRunContextCancelMidILP(t *testing.T) {
 	cfg.Mode = ModeILP
 	cfg.Obs = obs.New(&cancelOnRecord{name: "stage/candidates", cancel: cancel})
 
-	res, err := RunContext(ctx, d, cfg)
+	res, err := RunContextWith(ctx, d, cfg, nil)
 	requireFeasibleDegraded(t, res, err, cfg, StopCanceled)
 	if res.ILP == nil || !res.ILP.TimedOut {
 		t.Fatalf("cancelled ILP did not report TimedOut: %+v", res.ILP)
@@ -149,7 +149,7 @@ func TestRunContextCancelMidLR(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Obs = obs.New(&cancelOnRecord{name: "lr/iterate", cancel: cancel})
 
-	res, err := RunContext(ctx, d, cfg)
+	res, err := RunContextWith(ctx, d, cfg, nil)
 	requireFeasibleDegraded(t, res, err, cfg, StopCanceled)
 	if res.LR == nil || !res.LR.Stopped {
 		t.Fatalf("cancelled LR did not report Stopped: %+v", res.LR)

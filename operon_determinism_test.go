@@ -47,12 +47,12 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	for _, d := range determinismCases(t) {
 		cfg := DefaultConfig()
 		cfg.Workers = 1
-		seq, err := Run(d, cfg)
+		seq, err := RunContextWith(context.Background(), d, cfg, nil)
 		if err != nil {
 			t.Fatalf("%s workers=1: %v", d.Name, err)
 		}
 		cfg.Workers = 8
-		par, err := Run(d, cfg)
+		par, err := RunContextWith(context.Background(), d, cfg, nil)
 		if err != nil {
 			t.Fatalf("%s workers=8: %v", d.Name, err)
 		}
@@ -86,12 +86,12 @@ func TestRunContextMatchesRun(t *testing.T) {
 		for _, mode := range []Mode{ModeLR, ModeILP} {
 			cfg := DefaultConfig()
 			cfg.Mode = mode
-			plain, err := Run(d, cfg)
+			plain, err := RunContextWith(context.Background(), d, cfg, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: Run: %v", d.Name, mode, err)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
-			bounded, err := RunContext(ctx, d, cfg)
+			bounded, err := RunContextWith(ctx, d, cfg, nil)
 			cancel()
 			if err != nil {
 				t.Fatalf("%s/%s: RunContext: %v", d.Name, mode, err)

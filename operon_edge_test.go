@@ -1,6 +1,7 @@
 package operon
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -63,12 +64,12 @@ func TestWorkerPoolZeroItems(t *testing.T) {
 func TestRunWithExplicitWorkers(t *testing.T) {
 	d := smallDesign(t)
 	cfg := DefaultConfig()
-	base, err := Run(d, cfg)
+	base, err := RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 4
-	par, err := Run(d, cfg)
+	par, err := RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestRunSingleBitDesign(t *testing.T) {
 			}},
 		}},
 	}
-	res, err := Run(d, DefaultConfig())
+	res, err := RunContextWith(context.Background(), d, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestRunAllLocalDesign(t *testing.T) {
 		}
 		d.Groups = append(d.Groups, grp)
 	}
-	res, err := Run(d, DefaultConfig())
+	res, err := RunContextWith(context.Background(), d, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestRunTinyLossBudget(t *testing.T) {
 	d := smallDesign(t)
 	cfg := DefaultConfig()
 	cfg.Lib.MaxLossDB = 0.05
-	res, err := Run(d, cfg)
+	res, err := RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

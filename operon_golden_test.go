@@ -128,9 +128,9 @@ func goldenRun(ctx context.Context, d signal.Design, cfg Config, flow string) (*
 	case "greedy":
 		cfg.Mode = ModeGreedy
 	case "electrical":
-		return RunElectricalContext(ctx, d, cfg)
+		cfg.Mode = ModeElectrical
 	case "optical":
-		return RunOpticalContext(ctx, d, cfg)
+		cfg.Mode = ModeOptical
 	}
 	return RunContextWith(ctx, d, cfg, nil)
 }

@@ -1,6 +1,7 @@
 package operon
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -24,9 +25,15 @@ func smallDesign(t *testing.T) signal.Design {
 	return d
 }
 
+// withMode returns cfg with its Mode replaced.
+func withMode(cfg Config, m Mode) Config {
+	cfg.Mode = m
+	return cfg
+}
+
 func TestRunLREndToEnd(t *testing.T) {
 	d := smallDesign(t)
-	res, err := Run(d, DefaultConfig())
+	res, err := RunContextWith(context.Background(), d, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +65,12 @@ func TestRunILPBeatsOrMatchesLR(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = ModeILP
 	cfg.ILPTimeLimit = 30 * time.Second
-	ilpRes, err := Run(d, cfg)
+	ilpRes, err := RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Mode = ModeLR
-	lrRes, err := Run(d, cfg)
+	lrRes, err := RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +86,15 @@ func TestBaselineOrdering(t *testing.T) {
 	// The paper's headline shape: electrical >> optical > OPERON.
 	d := smallDesign(t)
 	cfg := DefaultConfig()
-	e, err := RunElectrical(d, cfg)
+	e, err := RunContextWith(context.Background(), d, withMode(cfg, ModeElectrical), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := RunOptical(d, cfg)
+	o, err := RunContextWith(context.Background(), d, withMode(cfg, ModeOptical), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Run(d, cfg)
+	p, err := RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +118,7 @@ func TestModeGreedy(t *testing.T) {
 	d := smallDesign(t)
 	cfg := DefaultConfig()
 	cfg.Mode = ModeGreedy
-	res, err := Run(d, cfg)
+	res, err := RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +130,11 @@ func TestModeGreedy(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	d := smallDesign(t)
 	cfg := DefaultConfig()
-	a, err := Run(d, cfg)
+	a, err := RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(d, cfg)
+	b, err := RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +150,7 @@ func TestSkipWDM(t *testing.T) {
 	d := smallDesign(t)
 	cfg := DefaultConfig()
 	cfg.SkipWDM = true
-	res, err := Run(d, cfg)
+	res, err := RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +162,7 @@ func TestSkipWDM(t *testing.T) {
 func TestHotspots(t *testing.T) {
 	d := smallDesign(t)
 	cfg := DefaultConfig()
-	res, err := Run(d, cfg)
+	res, err := RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +198,11 @@ func TestHotspotsOperonCoolerThanGlowElectrical(t *testing.T) {
 	// Tighten the budget so the optical-only baseline loses several nets
 	// to the electrical fallback.
 	cfg.Lib.MaxLossDB = 6
-	glow, err := RunOptical(d, cfg)
+	glow, err := RunContextWith(context.Background(), d, withMode(cfg, ModeOptical), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := Run(d, cfg)
+	op, err := RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,18 +230,18 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	d := smallDesign(t)
 	cfg := DefaultConfig()
 	cfg.Lib.MaxLossDB = -1
-	if _, err := Run(d, cfg); err == nil {
+	if _, err := RunContextWith(context.Background(), d, cfg, nil); err == nil {
 		t.Error("invalid library accepted")
 	}
 	cfg = DefaultConfig()
 	cfg.Elec.VoltageV = 0
-	if _, err := Run(d, cfg); err == nil {
+	if _, err := RunContextWith(context.Background(), d, cfg, nil); err == nil {
 		t.Error("invalid electrical model accepted")
 	}
 }
 
 func TestRunEmptyDesign(t *testing.T) {
-	if _, err := Run(signal.Design{Name: "empty"}, DefaultConfig()); err == nil {
+	if _, err := RunContextWith(context.Background(), signal.Design{Name: "empty"}, DefaultConfig(), nil); err == nil {
 		t.Error("empty design accepted")
 	}
 }

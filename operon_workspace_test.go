@@ -81,8 +81,13 @@ func TestWorkspaceReuseCounters(t *testing.T) {
 	cfg.Obs = obs.New(nil)
 
 	ws := NewWorkspace()
-	if _, err := RunContextWith(context.Background(), d, cfg, ws); err != nil {
-		t.Fatal(err)
+	// The pool hands out items dynamically, so on a loaded machine one run
+	// need not touch every worker slot; warm up until each slot owns its
+	// scratch (one creation per slot), so the run below must reuse them all.
+	for k := 0; k < 20 && counterValue(t, cfg.Obs, "ws.worker.create") < int64(cfg.Workers); k++ {
+		if _, err := RunContextWith(context.Background(), d, cfg, ws); err != nil {
+			t.Fatal(err)
+		}
 	}
 	created := counterValue(t, cfg.Obs, "ws.worker.create")
 	if created == 0 {

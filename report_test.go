@@ -1,6 +1,7 @@
 package operon
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -70,7 +71,7 @@ func TestClassifyAcrossFlows(t *testing.T) {
 	d := smallDesign(t)
 	cfg := DefaultConfig()
 
-	elec, err := RunElectrical(d, cfg)
+	elec, err := RunContextWith(context.Background(), d, withMode(cfg, ModeElectrical), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestClassifyAcrossFlows(t *testing.T) {
 		t.Error("electrical flow report counts optical routes")
 	}
 
-	opt, err := RunOptical(d, cfg)
+	opt, err := RunContextWith(context.Background(), d, withMode(cfg, ModeOptical), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestClassifyAcrossFlows(t *testing.T) {
 		t.Error("optical flow produced no optical routes")
 	}
 
-	op, err := Run(d, cfg)
+	op, err := RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

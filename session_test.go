@@ -63,44 +63,48 @@ func requireIdentical(t *testing.T, label string, got, want *Result) {
 }
 
 // TestSessionDifferentialRandomEdits is the bit-identity oracle: across
-// randomized edit scripts (mixed kinds, several seeds, Workers 0 and >1),
-// every Session.Resolve must equal a cold RunContext on the session's
-// pending design and config.
+// randomized edit scripts (mixed kinds, several seeds, Workers 0 and >1,
+// the LR flow and the optical baseline), every Session.Resolve must equal a
+// cold RunContextWith on the session's pending design and config.
 func TestSessionDifferentialRandomEdits(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		for seed := int64(1); seed <= 3; seed++ {
-			workers, seed := workers, seed
-			t.Run(fmt.Sprintf("w%d_seed%d", workers, seed), func(t *testing.T) {
-				t.Parallel()
-				d := ecoDesign(t, 4, 12, 400+seed)
-				cfg := DefaultConfig()
-				cfg.Workers = workers
-				s := NewSession(d, cfg)
-				for round := 0; round < 4; round++ {
-					if round > 0 {
-						ops := benchgen.EditScript(s.Design(), 3, seed*100+int64(round))
-						edits, err := EditsFromOps(ops)
+	for _, mode := range []Mode{ModeLR, ModeOptical} {
+		for _, workers := range []int{0, 4} {
+			for seed := int64(1); seed <= 3; seed++ {
+				mode, workers, seed := mode, workers, seed
+				t.Run(fmt.Sprintf("%v_w%d_seed%d", mode, workers, seed), func(t *testing.T) {
+					t.Parallel()
+					d := ecoDesign(t, 4, 12, 400+seed)
+					cfg := DefaultConfig()
+					cfg.Mode = mode
+					cfg.Workers = workers
+					s := NewSession(d, cfg)
+
+					for round := 0; round < 4; round++ {
+						if round > 0 {
+							ops := benchgen.EditScript(s.Design(), 3, seed*100+int64(round))
+							edits, err := EditsFromOps(ops)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if _, err := s.Apply(edits...); err != nil {
+								t.Fatal(err)
+							}
+						}
+						got, st, err := s.Resolve(context.Background())
 						if err != nil {
 							t.Fatal(err)
 						}
-						if _, err := s.Apply(edits...); err != nil {
+						want, err := RunContextWith(context.Background(), s.Design(), s.Config(), nil)
+						if err != nil {
 							t.Fatal(err)
 						}
+						requireIdentical(t, fmt.Sprintf("round %d (stats %+v)", round, st), got, want)
+						if round == 0 && !st.Cold {
+							t.Fatalf("first resolve should be cold, got %+v", st)
+						}
 					}
-					got, st, err := s.Resolve(context.Background())
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := RunContext(context.Background(), s.Design(), s.Config())
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireIdentical(t, fmt.Sprintf("round %d (stats %+v)", round, st), got, want)
-					if round == 0 && !st.Cold {
-						t.Fatalf("first resolve should be cold, got %+v", st)
-					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
@@ -123,7 +127,7 @@ func TestSessionEmptyEditScript(t *testing.T) {
 		t.Fatalf("no-edit resolve should be a full reuse, got %+v", st)
 	}
 	requireIdentical(t, "full reuse vs first", second, first)
-	cold, err := Run(s.Design(), s.Config())
+	cold, err := RunContextWith(context.Background(), s.Design(), s.Config(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +179,7 @@ func TestSessionSmallEditReuses(t *testing.T) {
 	if st.TreesReused == 0 {
 		t.Fatalf("expected tree reuse on clean groups, got %+v", st)
 	}
-	want, err := Run(s.Design(), s.Config())
+	want, err := RunContextWith(context.Background(), s.Design(), s.Config(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +209,7 @@ func TestSessionEditEveryGroup(t *testing.T) {
 	if st.GroupsReused != 0 || st.GroupsRebuilt != len(d.Groups) {
 		t.Fatalf("expected every group dirty, got %+v", st)
 	}
-	want, err := Run(s.Design(), s.Config())
+	want, err := RunContextWith(context.Background(), s.Design(), s.Config(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +237,7 @@ func TestSessionBudgetEdit(t *testing.T) {
 	if st.CandsReused != 0 {
 		t.Fatalf("budget edit must invalidate every candidate set, got %+v", st)
 	}
-	want, err := Run(s.Design(), s.Config())
+	want, err := RunContextWith(context.Background(), s.Design(), s.Config(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +263,7 @@ func TestSessionGroupAddRemove(t *testing.T) {
 	if st.GroupsReused != 3 || st.GroupsRebuilt != 1 {
 		t.Fatalf("append should dirty only the new group, got %+v", st)
 	}
-	want, err := Run(s.Design(), s.Config())
+	want, err := RunContextWith(context.Background(), s.Design(), s.Config(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +276,7 @@ func TestSessionGroupAddRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err = Run(s.Design(), s.Config())
+	want, err = RunContextWith(context.Background(), s.Design(), s.Config(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +302,7 @@ func TestSessionModeILPDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Run(s.Design(), s.Config())
+	want, err := RunContextWith(context.Background(), s.Design(), s.Config(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +340,7 @@ func TestSessionConcurrentResolve(t *testing.T) {
 					errs <- err
 					return
 				}
-				want, err := RunContext(context.Background(), s.Design(), s.Config())
+				want, err := RunContextWith(context.Background(), s.Design(), s.Config(), nil)
 				if err != nil {
 					errs <- err
 					return
@@ -389,42 +393,11 @@ func TestSessionDegradedNotCommitted(t *testing.T) {
 	if st.GroupsRebuilt != 1 {
 		t.Fatalf("degraded resolve must not commit; expected 1 dirty group, got %+v", st)
 	}
-	want, err := Run(s.Design(), s.Config())
+	want, err := RunContextWith(context.Background(), s.Design(), s.Config(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireIdentical(t, "after degraded resolve", got, want)
-}
-
-// TestSessionWarmDualsFeasible checks the opt-in warm-dual mode: results
-// need not match cold, but must stay feasible and commit correctly.
-func TestSessionWarmDualsFeasible(t *testing.T) {
-	d := ecoDesign(t, 3, 10, 91)
-	s := NewSession(d, DefaultConfig())
-	s.SetWarmDuals(true)
-	if _, _, err := s.Resolve(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 2; round++ {
-		ops := benchgen.MoveScript(s.Design(), 2, int64(900+round))
-		edits, err := EditsFromOps(ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Apply(edits...); err != nil {
-			t.Fatal(err)
-		}
-		res, _, err := s.Resolve(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Selection.Violations != 0 {
-			t.Fatalf("warm-dual resolve round %d: %d violations", round, res.Selection.Violations)
-		}
-		if res.LR == nil || res.LR.Lambda == nil {
-			t.Fatalf("warm-dual resolve round %d: missing returned duals", round)
-		}
-	}
 }
 
 // TestSessionApplyAtomic checks that a script failing mid-way applies none

@@ -2,6 +2,7 @@ package operon
 
 import (
 	"bytes"
+	"context"
 	"encoding/xml"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func TestWriteSVG(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	res, err := Run(d, cfg)
+	res, err := RunContextWith(context.Background(), d, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package operon
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func verifyDesign(t *testing.T) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(d, DefaultConfig())
+	res, err := RunContextWith(context.Background(), d, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestVerifyAllFlowsClean(t *testing.T) {
 	for _, mode := range []Mode{ModeLR, ModeGreedy} {
 		c := cfg
 		c.Mode = mode
-		res, err := Run(d, c)
+		res, err := RunContextWith(context.Background(), d, c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,14 +59,14 @@ func TestVerifyAllFlowsClean(t *testing.T) {
 			t.Errorf("%v: %d DRC issues, first: %v", mode, len(issues), issues[0])
 		}
 	}
-	glow, err := RunOptical(d, cfg)
+	glow, err := RunContextWith(context.Background(), d, withMode(cfg, ModeOptical), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if issues := Verify(glow, cfg); len(issues) != 0 {
 		t.Errorf("optical baseline: %d DRC issues, first: %v", len(issues), issues[0])
 	}
-	elec, err := RunElectrical(d, cfg)
+	elec, err := RunContextWith(context.Background(), d, withMode(cfg, ModeElectrical), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
