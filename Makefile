@@ -8,7 +8,7 @@ RACE_PKGS = ./internal/parallel ./internal/selection ./internal/signal \
             ./internal/wdm ./internal/optics/bpm ./internal/obs \
             ./internal/serve ./internal/ilp .
 
-.PHONY: check test race vet docs-lint serve-smoke bench trace-smoke bench-compare bench-alloc bench-scale bench-speedup load-smoke load-compare eco-smoke dup-smoke
+.PHONY: check test race vet docs-lint serve-smoke bench trace-smoke bench-compare bench-alloc bench-scale bench-speedup load-smoke load-compare eco-smoke dup-smoke perfbench-check
 
 check: vet docs-lint test race
 
@@ -108,3 +108,10 @@ eco-smoke:
 # fails the run itself on any differential mismatch).
 dup-smoke:
 	$(GO) run ./cmd/loadgen -mix dup -requests 40 -min-reduction 5 -min-cache-hits 1 -max-errors 0 -no-write
+
+# perfbench/ is a separate Go module (it pins go 1.24 and replaces operon
+# with this checkout), so neither `go build ./...` nor `make check` compiles
+# it. Vet and test it here so an API change that breaks the benchmark fails
+# a gate instead of landing silently.
+perfbench-check:
+	cd perfbench && GOWORK=off $(GO) vet . && GOWORK=off $(GO) test .

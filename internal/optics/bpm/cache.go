@@ -4,9 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"operon/internal/obs"
 )
 
 // The FD-BPM solve is by far the most expensive leaf computation in the
@@ -29,17 +26,9 @@ var (
 
 	// Hit/miss tallies are process-global like the cache itself; they are
 	// read by CacheCounters and folded into obs counter snapshots by
-	// callers that want per-run deltas.
+	// callers that want them.
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
-
-	// simDurations tallies the wall-clock of every successful uncached
-	// propagation into a process-global latency histogram. Like the
-	// hit/miss counters it is cumulative; flow runs snapshot before and
-	// after and fold the Sub delta into their own tracer, so the FD-BPM
-	// tail is attributable per run even though the solver has no tracer
-	// handle of its own.
-	simDurations = obs.NewHistogram("bpm/simulate", nil)
 )
 
 // CacheCounters returns the cumulative simulation-cache hit and miss counts
@@ -47,19 +36,6 @@ var (
 // after and subtract.
 func CacheCounters() (hits, misses int64) {
 	return cacheHits.Load(), cacheMisses.Load()
-}
-
-// SimDurations snapshots the process-global histogram of uncached FD-BPM
-// propagation wall-clocks. Callers wanting per-run distributions snapshot
-// before and after and Sub.
-func SimDurations() obs.HistogramSnapshot {
-	return simDurations.Snapshot()
-}
-
-// recordSimDuration feeds the global propagation histogram; kept out of
-// line so both the cached and uncached entry points tally identically.
-func recordSimDuration(start time.Time) {
-	simDurations.RecordDuration(time.Since(start))
 }
 
 // simCached returns the memoised result for (cfg, stages), running

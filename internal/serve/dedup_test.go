@@ -17,7 +17,7 @@ import (
 )
 
 // ctxDegraded is the stub-solver contract for an exhausted budget: block
-// until the context dies, then return the degraded floor like RunContext.
+// until the context dies, then return the degraded floor like RunContextWith.
 func ctxDegraded(d signal.Design) *operon.Result {
 	return &operon.Result{
 		Design: d.Name, PowerMW: 1,

@@ -171,7 +171,7 @@ func TestDeadlineExceededReturnsDegraded(t *testing.T) {
 func TestShutdownDegradesInFlight(t *testing.T) {
 	srv := newTestServer(4, 1, time.Minute, 0)
 	srv.SetSolve(func(ctx context.Context, d signal.Design, cfg operon.Config, _ *operon.Workspace) (*operon.Result, error) {
-		// Stand-in for RunContext's contract: block until cancelled, then
+		// Stand-in for RunContextWith's contract: block until cancelled, then
 		// return the degraded-but-feasible result.
 		<-ctx.Done()
 		return &operon.Result{

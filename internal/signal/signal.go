@@ -13,6 +13,7 @@ package signal
 
 import (
 	"fmt"
+	"math"
 
 	"operon/internal/cluster"
 	"operon/internal/geom"
@@ -38,12 +39,26 @@ func (b Bit) Centroid() geom.Point {
 	return geom.Centroid(pts)
 }
 
-// Validate reports whether the bit is well-formed.
+// Validate reports whether the bit is well-formed: at least one sink, and
+// finite coordinates on every pin.
 func (b Bit) Validate() error {
 	if len(b.Sinks) == 0 {
 		return fmt.Errorf("signal: bit has no sinks")
 	}
+	if !finite(b.Driver) {
+		return fmt.Errorf("signal: driver %v is not finite", b.Driver)
+	}
+	for i, s := range b.Sinks {
+		if !finite(s) {
+			return fmt.Errorf("signal: sink %d %v is not finite", i, s)
+		}
+	}
 	return nil
+}
+
+// finite reports whether both coordinates of p are finite numbers.
+func finite(p geom.Point) bool {
+	return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
 }
 
 // Group is a named bundle of bits routed together.
@@ -87,6 +102,9 @@ func (d Design) NetCount() int {
 func (d Design) Validate() error {
 	if len(d.Groups) == 0 {
 		return fmt.Errorf("signal: design %q has no groups", d.Name)
+	}
+	if !finite(d.Die.Lo) || !finite(d.Die.Hi) {
+		return fmt.Errorf("signal: design %q die %v is not finite", d.Name, d.Die)
 	}
 	for _, g := range d.Groups {
 		if err := g.Validate(); err != nil {

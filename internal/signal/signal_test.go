@@ -1,6 +1,7 @@
 package signal
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -37,6 +38,30 @@ func TestBitValidate(t *testing.T) {
 	b := Bit{Driver: geom.Point{}, Sinks: []geom.Point{{X: 1, Y: 1}}}
 	if err := b.Validate(); err != nil {
 		t.Errorf("valid bit rejected: %v", err)
+	}
+}
+
+// TestValidateRejectsNonFinite checks that NaN and ±Inf coordinates on a
+// driver, a sink or the die are rejected before they reach the clustering
+// and Steiner stages.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := geom.Point{X: 1, Y: v}
+		if err := (Bit{Driver: bad, Sinks: []geom.Point{{X: 1, Y: 1}}}).Validate(); err == nil {
+			t.Errorf("driver %v accepted", bad)
+		}
+		if err := (Bit{Sinks: []geom.Point{{X: 1, Y: 1}, bad}}).Validate(); err == nil {
+			t.Errorf("sink %v accepted", bad)
+		}
+		d := Design{Name: "d", Die: geom.Rect{Hi: bad}, Groups: []Group{busGroup("g", 2, 1, 1)}}
+		if err := d.Validate(); err == nil {
+			t.Errorf("die corner %v accepted", bad)
+		}
+		d.Die = geom.Rect{Hi: geom.Point{X: 4, Y: 4}}
+		d.Groups[0].Bits[1].Sinks[0] = bad
+		if err := d.Validate(); err == nil {
+			t.Errorf("design with sink %v accepted", bad)
+		}
 	}
 }
 

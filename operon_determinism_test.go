@@ -78,9 +78,10 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestRunContextMatchesRun is the determinism guarantee of the cancellation
-// machinery: with a deadline generous enough to never fire, RunContext must
-// produce results bit-identical to Run — the ctx checks may cost time but
-// must never alter control flow before the deadline.
+// machinery: with a deadline generous enough to never fire, the flow must
+// produce results bit-identical to a run without a deadline — the ctx
+// checks may cost time but must never alter control flow before the
+// deadline.
 func TestRunContextMatchesRun(t *testing.T) {
 	for _, d := range determinismCases(t) {
 		for _, mode := range []Mode{ModeLR, ModeILP} {
@@ -88,24 +89,24 @@ func TestRunContextMatchesRun(t *testing.T) {
 			cfg.Mode = mode
 			plain, err := RunContextWith(context.Background(), d, cfg, nil)
 			if err != nil {
-				t.Fatalf("%s/%s: Run: %v", d.Name, mode, err)
+				t.Fatalf("%s/%s: no deadline: %v", d.Name, mode, err)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 			bounded, err := RunContextWith(ctx, d, cfg, nil)
 			cancel()
 			if err != nil {
-				t.Fatalf("%s/%s: RunContext: %v", d.Name, mode, err)
+				t.Fatalf("%s/%s: far deadline: %v", d.Name, mode, err)
 			}
 			if bounded.Degraded || bounded.StopReason != StopNone {
 				t.Fatalf("%s/%s: unbounded-in-practice run degraded: %q",
 					d.Name, mode, bounded.StopReason)
 			}
 			if plain.PowerMW != bounded.PowerMW {
-				t.Errorf("%s/%s: PowerMW %v (Run) != %v (RunContext)",
+				t.Errorf("%s/%s: PowerMW %v (no deadline) != %v (far deadline)",
 					d.Name, mode, plain.PowerMW, bounded.PowerMW)
 			}
 			if !reflect.DeepEqual(plain.Selection, bounded.Selection) {
-				t.Errorf("%s/%s: Selection differs between Run and RunContext", d.Name, mode)
+				t.Errorf("%s/%s: Selection differs with a far deadline", d.Name, mode)
 			}
 			if !reflect.DeepEqual(plain.Connections, bounded.Connections) {
 				t.Errorf("%s/%s: optical connections differ", d.Name, mode)
@@ -114,7 +115,7 @@ func TestRunContextMatchesRun(t *testing.T) {
 				t.Errorf("%s/%s: WDM assignment differs", d.Name, mode)
 			}
 			if plain.WDMStats != bounded.WDMStats {
-				t.Errorf("%s/%s: WDMStats %+v (Run) != %+v (RunContext)",
+				t.Errorf("%s/%s: WDMStats %+v (no deadline) != %+v (far deadline)",
 					d.Name, mode, plain.WDMStats, bounded.WDMStats)
 			}
 		}

@@ -245,3 +245,25 @@ func TestRunEmptyDesign(t *testing.T) {
 		t.Error("empty design accepted")
 	}
 }
+
+// TestRunRejectsNonFiniteCoordinates checks that a NaN pin coordinate is
+// rejected with an error by both the cold solve and a session resolve,
+// instead of panicking inside a worker goroutine of the Steiner stage.
+func TestRunRejectsNonFiniteCoordinates(t *testing.T) {
+	d := goldenDesign(t, "I1")
+	bad := signal.Design{Name: d.Name, Die: d.Die, Groups: append([]signal.Group(nil), d.Groups...)}
+	bad.Groups[0] = copyGroup(d.Groups[0])
+	bad.Groups[0].Bits[0].Sinks[0].X = math.NaN()
+	if _, err := RunContextWith(context.Background(), bad, DefaultConfig(), nil); err == nil {
+		t.Error("cold solve accepted a NaN sink")
+	}
+
+	s := NewSession(d, DefaultConfig())
+	_, err := s.Apply(MoveTerminal(0, 0, 0, geom.Point{X: math.NaN(), Y: 1}))
+	if err == nil {
+		_, _, err = s.Resolve(context.Background())
+	}
+	if err == nil {
+		t.Error("session accepted a NaN terminal move")
+	}
+}

@@ -45,7 +45,7 @@ func NewSession(d signal.Design, cfg Config) *Session {
 }
 
 // Design returns a deep copy of the session's pending design (the last
-// applied edits included) — the input a cold RunContext must see to
+// applied edits included) — the input a cold RunContextWith must see to
 // reproduce the next Resolve bit-for-bit.
 func (s *Session) Design() signal.Design {
 	s.mu.Lock()
