@@ -218,7 +218,7 @@ func solve(ctx context.Context, d signal.Design, cfg Config, ws *Workspace, prev
 			maxBl = 3
 		}
 		trees = make([][]steiner.Tree, nN)
-		var rebuild []int
+		rebuild := make([]int, 0, nN)
 		for i := 0; i < nN; i++ {
 			treeOK[i] = netPrev[i] >= 0 && !delta.trees
 			if treeOK[i] {
@@ -251,7 +251,7 @@ func solve(ctx context.Context, d signal.Design, cfg Config, ws *Workspace, prev
 	// carried-over trees.
 	candMap := make([]int, nN) // previous index of a reused candidate set, or -1
 	nets := make([]selection.Net, nN)
-	var rebuild []int
+	rebuild := make([]int, 0, nN)
 	for i := 0; i < nN; i++ {
 		candMap[i] = -1
 		if netPrev[i] >= 0 && !delta.cands && (!gen.trees || treeOK[i] && contribsMatch(i, netPrev, treeOK, contribs, prev)) {
