@@ -335,12 +335,10 @@ func runSelection(ctx context.Context, cfg Config, mode Mode, ws *Workspace, ins
 	case ModeOptical:
 		// GLOW semantics: optical wherever feasible (candidate 0), electrical
 		// only on loss violation (Repair demotes the violators).
-		sel, err := inst.Evaluate(make([]int, len(inst.Nets)))
-		if err != nil {
-			return err
+		var sel selection.Selection
+		if sel, err = inst.Evaluate(make([]int, len(inst.Nets))); err == nil {
+			res.Selection, err = inst.Repair(sel)
 		}
-		res.Selection, err = inst.Repair(sel)
-		return err
 	default:
 		lr, err := selection.SolveLR(inst, lrOptions(ctx, cfg))
 		if err != nil {

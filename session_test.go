@@ -71,7 +71,11 @@ func TestSessionDifferentialRandomEdits(t *testing.T) {
 		for _, workers := range []int{0, 4} {
 			for seed := int64(1); seed <= 3; seed++ {
 				mode, workers, seed := mode, workers, seed
-				t.Run(fmt.Sprintf("%v_w%d_seed%d", mode, workers, seed), func(t *testing.T) {
+				name := fmt.Sprintf("w%d_seed%d", workers, seed)
+				if mode != ModeLR {
+					name = mode.String() + "_" + name
+				}
+				t.Run(name, func(t *testing.T) {
 					t.Parallel()
 					d := ecoDesign(t, 4, 12, 400+seed)
 					cfg := DefaultConfig()
