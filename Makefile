@@ -8,7 +8,7 @@ RACE_PKGS = ./internal/parallel ./internal/selection ./internal/signal \
             ./internal/wdm ./internal/optics/bpm ./internal/obs \
             ./internal/serve ./internal/ilp .
 
-.PHONY: check test race vet docs-lint serve-smoke bench trace-smoke bench-compare bench-alloc bench-scale bench-speedup load-smoke load-compare eco-smoke dup-smoke perfbench-check
+.PHONY: check test race vet docs-lint serve-smoke bench trace-smoke bench-compare bench-alloc bench-scale bench-speedup load-smoke load-compare eco-smoke dup-smoke perfbench-check fuzz-smoke
 
 check: vet docs-lint test race
 
@@ -115,3 +115,9 @@ dup-smoke:
 # a gate instead of landing silently.
 perfbench-check:
 	cd perfbench && GOWORK=off $(GO) vet . && GOWORK=off $(GO) test .
+
+# Fuzz smoke: run the native fuzz targets briefly on top of their committed
+# seed corpora (testdata/fuzz/). A failing input is written back to the
+# corpus directory, so a CI failure leaves a reproducer in the log.
+fuzz-smoke:
+	$(GO) test ./internal/wdm -run '^$$' -fuzz '^FuzzAssignMatchesMonolithic$$' -fuzztime 10s

@@ -498,7 +498,8 @@ func main() {
 			})
 		}
 
-		// The I6–I8 mega cases. Each selected case records the full flow plus an
+		// The I6–I8 mega cases. Each selected case records the full flow, the
+		// WDM layer alone (Fig8/WDM/<case>) on that flow's connections, and an
 		// exact-ILP solve on the leading megaILPNets-net sub-instance — the full
 		// mega programme (≈240k variables at I6) is beyond any exact solver's
 		// root relaxation budget, so the slice is what keeps branch and bound an
@@ -507,9 +508,10 @@ func main() {
 		// benchmark.
 		for _, spec := range benchgen.MegaSpecs() {
 			flowName := "Table1/OPERON-LR/" + spec.Name + "/WorkersN"
+			wdmName := "Fig8/WDM/" + spec.Name
 			ilpName := fmt.Sprintf("ILP/%s/First%d", spec.Name, megaILPNets)
 			if !megaSel[spec.Name] {
-				rep.Skipped = append(rep.Skipped, flowName, ilpName)
+				rep.Skipped = append(rep.Skipped, flowName, wdmName, ilpName)
 				continue
 			}
 			md, err := benchgen.Generate(spec)
@@ -524,12 +526,21 @@ func main() {
 					}
 				}
 			})
-			mc := cfg
-			mc.SkipWDM = true
-			mres, err := operon.RunContextWith(context.Background(), md, mc, nil)
+			mres, err := operon.RunContextWith(context.Background(), md, cfg, nil)
 			if err != nil {
 				fatal(err)
 			}
+			// The WDM layer alone (placement + assignment) on the flow's own
+			// connections.
+			mwcfg := wdmConfig(cfg)
+			record(wdmName, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, _, err := wdm.Run(mres.Connections, mwcfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 			sub, err := selection.NewInstance(mres.Nets[:megaILPNets], cfg.Lib)
 			if err != nil {
 				fatal(err)
@@ -843,7 +854,12 @@ func wdmInputs(d signal.Design, cfg operon.Config) ([]wdm.Connection, wdm.Config
 			conns = append(conns, wdm.Connection{Seg: seg, Bits: res.Nets[i].Bits, Net: i})
 		}
 	}
-	return conns, wdm.Config{
+	return conns, wdmConfig(cfg)
+}
+
+// wdmConfig is the WDM stage configuration of a flow configuration.
+func wdmConfig(cfg operon.Config) wdm.Config {
+	return wdm.Config{
 		Capacity:        cfg.Lib.WDMCapacity,
 		MinSpacingCM:    cfg.Lib.CrosstalkMinDistCM,
 		MaxAssignDistCM: cfg.Lib.AssignMaxDistCM,

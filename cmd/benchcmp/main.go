@@ -45,7 +45,13 @@ import (
 
 // report is the subset of the cmd/bench document benchcmp reads.
 type report struct {
-	Date       string `json:"date"`
+	Date string `json:"date"`
+	// CPUs and GoMaxProcs describe the machine that took the report. The
+	// allocation profile of a worker-pool entry depends on how many
+	// goroutines the scheduler ran, so reports from machines that differ
+	// here are not strictly comparable; the header warns about it.
+	CPUs       int `json:"cpus"`
+	GoMaxProcs int `json:"gomaxprocs"`
 	Benchmarks []struct {
 		Name          string `json:"name"`
 		AllocsPerOp   int64  `json:"allocs_per_op"`
@@ -117,7 +123,11 @@ func main() {
 
 	oldRep := load(oldPath)
 	newRep := load(newPath)
-	fmt.Printf("benchcmp: %s (%s) -> %s (%s)\n", oldPath, oldRep.Date, newPath, newRep.Date)
+	fmt.Printf("benchcmp: %s (%s, cpus %d, gomaxprocs %d) -> %s (%s, cpus %d, gomaxprocs %d)\n",
+		oldPath, oldRep.Date, oldRep.CPUs, oldRep.GoMaxProcs, newPath, newRep.Date, newRep.CPUs, newRep.GoMaxProcs)
+	if oldRep.CPUs != newRep.CPUs || oldRep.GoMaxProcs != newRep.GoMaxProcs {
+		fmt.Println("benchcmp: WARNING: the reports come from different cpus/gomaxprocs; allocation profiles of worker-pool entries are not comparable")
+	}
 
 	failures := compareAllocs(oldRep, newRep, *threshold)
 

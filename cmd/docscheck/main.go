@@ -9,7 +9,8 @@
 //
 // With no arguments the audited set is the flow package, the solver
 // substrate, and the serving layer: ., internal/lp, internal/ilp,
-// internal/mcmf, internal/selection, internal/obs, internal/serve. Exit
+// internal/mcmf, internal/selection, internal/wdm, internal/obs,
+// internal/serve. Exit
 // status 1 lists every uncommented identifier as file:line: name.
 package main
 
@@ -32,6 +33,7 @@ var defaultDirs = []string{
 	"internal/ilp",
 	"internal/mcmf",
 	"internal/selection",
+	"internal/wdm",
 	"internal/obs",
 	"internal/serve",
 }

@@ -5,6 +5,11 @@
 // displacement plus WDM usage costs, kept integral so the shortest-path
 // arithmetic is exact), and the returned flow is integral — the
 // uni-modularity property §4.2 relies on.
+//
+// A Graph is reusable: Reset empties it onto a new node count while keeping
+// every buffer, so a worker that solves many small networks in turn (the
+// independent components of the WDM assignment) allocates only when one
+// network outgrows all before it.
 package mcmf
 
 import (
@@ -27,15 +32,20 @@ type edge struct {
 // Adjacency is kept in compressed (CSR) form, rebuilt lazily when edges
 // were added since the last MaxFlow call: one contiguous arc-id slice plus
 // per-node offsets instead of N growing slices. Dijkstra's working state
-// (priority queue, distance and parent arrays) is allocated once per
-// MaxFlow call and reused across augmentations.
+// (potentials, priority queue, distance and parent arrays) lives on the
+// Graph too, so it is reused across augmentations, MaxFlow calls and Resets.
 type Graph struct {
 	n     int
 	edges []edge // twin arcs at 2k, 2k+1
 
 	csrHead []int32 // per-node offsets into csrArcs; length n+1
 	csrArcs []int32 // arc ids grouped by tail node
-	csrAt   int     // len(edges) when the CSR was built
+	csrAt   int     // len(edges) when the CSR was built; -1 = stale
+
+	pot      []int64
+	dist     []int64
+	prevEdge []int32
+	q        pq
 
 	cAug *obs.Counter // augmenting-path counter (nil = uninstrumented)
 }
@@ -49,7 +59,16 @@ func (g *Graph) Instrument(t *obs.Tracer) {
 
 // New returns an empty network on n nodes.
 func New(n int) *Graph {
-	return &Graph{n: n}
+	return &Graph{n: n, csrAt: -1}
+}
+
+// Reset empties the graph onto n nodes, keeping the capacity of every
+// buffer (edges, CSR arrays, Dijkstra state) and the instrumentation. Edge
+// handles from before the Reset are invalid afterwards.
+func (g *Graph) Reset(n int) {
+	g.n = n
+	g.edges = g.edges[:0]
+	g.csrAt = -1
 }
 
 // NewWithEdgeHint returns an empty network on n nodes with capacity
@@ -85,30 +104,42 @@ func (g *Graph) AddEdge(u, v, capacity int, cost int64) int {
 }
 
 // buildCSR (re)compresses the adjacency when edges changed. The twin arc
-// of edge id lives at id^1, so each arc's tail is its twin's head.
+// of edge id lives at id^1, so each arc's tail is its twin's head. Arcs of
+// one tail stay in ascending id order.
 func (g *Graph) buildCSR() {
-	if g.csrAt == len(g.edges) && g.csrHead != nil {
+	if g.csrAt == len(g.edges) {
 		return
 	}
-	counts := make([]int32, g.n+1)
+	head := resize(g.csrHead, g.n+1)
+	clear(head)
 	for id := range g.edges {
-		counts[g.edges[id^1].to+1]++
+		head[g.edges[id^1].to+1]++
 	}
-	head := make([]int32, g.n+1)
 	for i := 0; i < g.n; i++ {
-		head[i+1] = head[i] + counts[i+1]
+		head[i+1] += head[i]
 	}
-	arcs := make([]int32, len(g.edges))
-	cursor := make([]int32, g.n)
-	copy(cursor, head[:g.n])
+	// Fill using head[tail] as the cursor, which leaves head[i] at the end
+	// of node i's run; shifting by one restores the offsets.
+	arcs := resize(g.csrArcs, len(g.edges))
 	for id := range g.edges {
 		tail := g.edges[id^1].to
-		arcs[cursor[tail]] = int32(id)
-		cursor[tail]++
+		arcs[head[tail]] = int32(id)
+		head[tail]++
 	}
+	copy(head[1:], head[:g.n])
+	head[0] = 0
 	g.csrHead = head
 	g.csrArcs = arcs
 	g.csrAt = len(g.edges)
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Flow returns the flow currently routed on the edge with the given handle
@@ -200,7 +231,11 @@ func (g *Graph) MaxFlowContext(ctx context.Context, s, t int) (Result, error) {
 		return Result{}, fmt.Errorf("mcmf: source equals sink")
 	}
 	g.buildCSR()
-	pot := make([]int64, g.n)
+	g.pot = resize(g.pot, g.n)
+	g.dist = resize(g.dist, g.n)
+	g.prevEdge = resize(g.prevEdge, g.n)
+	pot, dist, prevEdge := g.pot, g.dist, g.prevEdge
+	clear(pot)
 	if g.hasNegativeCost() {
 		if err := g.bellmanFord(s, pot); err != nil {
 			return Result{}, err
@@ -208,9 +243,10 @@ func (g *Graph) MaxFlowContext(ctx context.Context, s, t int) (Result, error) {
 	}
 	var res Result
 	const unreached = math.MaxInt64
-	dist := make([]int64, g.n)
-	prevEdge := make([]int32, g.n)
-	q := make(pq, 0, g.n)
+	if cap(g.q) < g.n {
+		g.q = make(pq, 0, g.n)
+	}
+	q := &g.q // grows past n when a node is queued twice; kept for reuse
 	for {
 		if err := ctx.Err(); err != nil {
 			return res, err
@@ -222,9 +258,9 @@ func (g *Graph) MaxFlowContext(ctx context.Context, s, t int) (Result, error) {
 			prevEdge[i] = -1
 		}
 		dist[s] = 0
-		q = q[:0]
+		*q = (*q)[:0]
 		q.push(pqItem{node: int32(s)})
-		for len(q) > 0 {
+		for len(*q) > 0 {
 			it := q.pop()
 			if it.dist > dist[it.node] {
 				continue

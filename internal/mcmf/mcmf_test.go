@@ -340,3 +340,44 @@ func BenchmarkMCMF(b *testing.B) {
 		}
 	}
 }
+
+// TestResetMatchesFreshGraph solves a sequence of random networks of
+// varying size on one graph, Reset between them, and checks every result
+// and edge flow against a fresh graph: reused buffers must not leak state.
+func TestResetMatchesFreshGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	reused := New(0)
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + rng.Intn(30)
+		type arc struct {
+			u, v, cap int
+			cost      int64
+		}
+		arcs := make([]arc, rng.Intn(4*n))
+		for i := range arcs {
+			arcs[i] = arc{rng.Intn(n), rng.Intn(n), rng.Intn(10), int64(rng.Intn(20))}
+		}
+		fresh := New(n)
+		reused.Reset(n)
+		for _, a := range arcs {
+			fresh.AddEdge(a.u, a.v, a.cap, a.cost)
+			reused.AddEdge(a.u, a.v, a.cap, a.cost)
+		}
+		want, err := fresh.MaxFlow(0, n-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reused.MaxFlow(0, n-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("trial %d: reused graph %+v, fresh %+v", trial, got, want)
+		}
+		for id := 0; id < 2*len(arcs); id += 2 {
+			if reused.Flow(id) != fresh.Flow(id) {
+				t.Fatalf("trial %d: edge %d flow %d, fresh %d", trial, id, reused.Flow(id), fresh.Flow(id))
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 // Package parallel provides the shared bounded worker pool every
 // independent-per-item stage of the flow runs on: candidate generation,
-// per-group signal processing, Lagrangian pricing, and WDM arc costing.
+// per-group signal processing, Lagrangian pricing, and the WDM assignment
+// components.
 //
 // The pool guarantees deterministic behaviour regardless of worker count:
 // callers write results by item index (never by completion order), and on

@@ -13,9 +13,11 @@
 package wdm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"operon/internal/geom"
@@ -26,6 +28,8 @@ import (
 
 // Connection is one point-to-point optical link of a routed hyper net.
 type Connection struct {
+	// Seg is the waveguide segment; its dominant orientation picks the WDM
+	// family and its midpoint the placement coordinate.
 	Seg geom.Segment
 	// Bits is the number of wavelength channels the connection needs.
 	Bits int
@@ -55,13 +59,15 @@ type Config struct {
 	// MaxAssignDistCM is dis_u: the maximum displacement allowed when
 	// assigning a connection to a WDM.
 	MaxAssignDistCM float64
-	// Workers bounds the per-connection candidate-costing parallelism in
-	// Assign (0 = NumCPU). Arc order, and therefore the flow result, does
-	// not depend on the worker count.
+	// Workers bounds how many independent components of the assignment
+	// network Assign solves at once (0 = NumCPU). Each component's network
+	// and the order its flows are read back in are fixed, so the result
+	// does not depend on the worker count.
 	Workers int
-	// Obs, when non-nil, receives wdm/place and wdm/assign spans, the
-	// wdm.arcs counter, and the mcmf.augmentations counter of the
-	// assignment flow. Nil disables all instrumentation.
+	// Obs, when non-nil, receives the wdm/place and wdm/assign spans (the
+	// latter with the component count and the largest component's
+	// connection count), the wdm.arcs counter, and the mcmf.augmentations
+	// counter of every component's flow. Nil disables all instrumentation.
 	Obs *obs.Tracer
 }
 
@@ -80,6 +86,8 @@ func (c Config) Validate() error {
 
 // WDM is one placed waveguide.
 type WDM struct {
+	// Horizontal reports the waveguide's orientation; it carries only
+	// connections of the same orientation.
 	Horizontal bool
 	// CoordCM is the waveguide's fixed coordinate (y if horizontal).
 	CoordCM float64
@@ -89,6 +97,7 @@ type WDM struct {
 
 // Placement is the §4.1 result.
 type Placement struct {
+	// WDMs lists the placed waveguides of both orientations.
 	WDMs []WDM
 	// InitialAssign maps each connection (by input index) to its WDM.
 	InitialAssign []int
@@ -175,7 +184,9 @@ func legalize(wdms []WDM, horizontal bool, minSpacing float64) {
 // allows a connection's bits to split across waveguides (§4.2's edge
 // capacities are bit counts).
 type Share struct {
-	WDM  int
+	// WDM is the index of the waveguide in Placement.WDMs.
+	WDM int
+	// Bits is the number of the connection's channels it carries.
 	Bits int
 }
 
@@ -205,12 +216,23 @@ func Assign(conns []Connection, pl Placement, cfg Config) (Assignment, error) {
 }
 
 // AssignContext is Assign bounded by a context. Cancellation is observed by
-// the candidate-costing worker pool and by the min-cost-flow augmentation
-// loop; once the context is done, AssignContext abandons the re-assignment
-// and returns ctx.Err(). Callers that must produce an answer anyway fall
-// back to PlacementAssignment, which derives a feasible (capacity-
-// respecting) assignment straight from the sweep placement. A run that
-// completes before cancellation is bit-identical to Assign.
+// the worker pool and by the min-cost-flow augmentation loop; once the
+// context is done, AssignContext abandons the re-assignment and returns
+// ctx.Err(). Callers that must produce an answer anyway fall back to
+// PlacementAssignment, which derives a feasible (capacity-respecting)
+// assignment straight from the sweep placement. A run that completes before
+// cancellation is bit-identical to Assign.
+//
+// A connection→WDM edge exists only within dis_u (plus the connection's own
+// placement WDM), so without the source and sink each orientation's network
+// falls apart into connected components along the placement axis. Min-cost
+// flow separates exactly across them: every component is solved as the
+// induced subnetwork of the whole (same edges, same costs, the usage cost of
+// each WDM keeping its orientation-wide rank), all components of both
+// orientations in one worker-pool pass, and the flows are read back in
+// (connection, WDM) order. The total cost equals that of one monolithic
+// solve, and because usage costs are distinct and dominate displacement, so
+// does the set of used WDMs.
 func AssignContext(ctx context.Context, conns []Connection, pl Placement, cfg Config) (Assignment, error) {
 	if err := cfg.Validate(); err != nil {
 		return Assignment{}, err
@@ -219,141 +241,310 @@ func AssignContext(ctx context.Context, conns []Connection, pl Placement, cfg Co
 		return Assignment{}, fmt.Errorf("wdm: placement covers %d of %d connections",
 			len(pl.InitialAssign), len(conns))
 	}
+	sp := cfg.Obs.Span("wdm/assign", obs.LaneFlow,
+		obs.I("connections", len(conns)),
+		obs.I("wdms", len(pl.WDMs)))
+	var nets [2]*orientNet
+	var comps []component
+	for i, horizontal := range []bool{true, false} {
+		o, err := newOrientNet(conns, pl, cfg, horizontal)
+		if err != nil {
+			return Assignment{}, err
+		}
+		nets[i] = o
+		comps = o.split(comps)
+	}
+
+	// Largest components first, so no big one is left for the pool's tail.
+	// The order does not reach the result: flows are read back per arc.
+	slices.SortStableFunc(comps, func(a, b component) int {
+		return cmp.Compare(len(b.conns), len(a.conns))
+	})
+	if len(comps) > 0 {
+		// One reusable graph per worker: the allocation count of the pass
+		// does not grow with the number of components.
+		graphs := make([]*mcmf.Graph, parallel.Workers(cfg.Workers, len(comps)))
+		err := parallel.ForEachWorkerContext(ctx, len(comps), cfg.Workers, func(w, i int) error {
+			if graphs[w] == nil {
+				graphs[w] = mcmf.New(0)
+				graphs[w].Instrument(cfg.Obs)
+			}
+			return comps[i].solve(ctx, graphs[w], conns, cfg.Capacity)
+		})
+		if err != nil {
+			return Assignment{}, err
+		}
+	}
+
+	maxConns := 0
+	for _, c := range comps {
+		c.net.flow += c.flow
+		maxConns = max(maxConns, len(c.conns))
+	}
 	out := Assignment{Shares: make([][]Share, len(conns))}
 	used := make([]bool, len(pl.WDMs))
-	cArcs := cfg.Obs.Counter("wdm.arcs")
-
-	// Index scratch shared by the two orientation passes.
-	connIdx := make([]int, 0, len(conns))
-	wdmIdx := make([]int, 0, len(pl.WDMs))
-
-	for _, horizontal := range []bool{true, false} {
-		connIdx, wdmIdx = connIdx[:0], wdmIdx[:0]
-		totalBits := 0
-		for i, c := range conns {
-			if c.Horizontal() == horizontal {
-				connIdx = append(connIdx, i)
-				totalBits += c.Bits
-			}
+	nArcs := 0
+	for _, o := range nets {
+		if o.flow != o.totalBits {
+			return Assignment{}, fmt.Errorf("wdm: assignment routed %d of %d bits",
+				o.flow, o.totalBits)
 		}
-		for w, wd := range pl.WDMs {
-			if wd.Horizontal == horizontal {
-				wdmIdx = append(wdmIdx, w)
-			}
-		}
-		if len(connIdx) == 0 {
-			continue
-		}
-		orient := "vertical"
-		if horizontal {
-			orient = "horizontal"
-		}
-		spAssign := cfg.Obs.Span("wdm/assign", obs.LaneFlow,
-			obs.S("orient", orient),
-			obs.I("connections", len(connIdx)),
-			obs.I("wdms", len(wdmIdx)))
-		// Node layout: 0 source, 1..C connections, C+1..C+W WDMs, last sink.
-		// Worst-case arc count: one per connection and WDM plus a full
-		// connection×WDM bipartite layer.
-		g := mcmf.NewWithEdgeHint(len(connIdx)+len(wdmIdx)+2,
-			len(connIdx)+len(wdmIdx)+len(connIdx)*len(wdmIdx))
-		src, snk := 0, len(connIdx)+len(wdmIdx)+1
-		for k, ci := range connIdx {
-			g.AddEdge(src, 1+k, conns[ci].Bits, 0)
-		}
-		// Costs are integers for exact flow arithmetic: displacement is
-		// quantised to dispScale steps of dis_u; usage costs dominate —
-		// one usage step exceeds any total displacement cost.
-		const dispScale = 1000
-		usageUnit := int64(totalBits)*dispScale + 1
-		for q := range wdmIdx {
-			g.AddEdge(1+len(connIdx)+q, snk, cfg.Capacity, usageUnit*int64(q+1))
-		}
-		// Candidate costing per connection (distance + quantised cost against
-		// every WDM) is the O(C·W) part; connections are independent, so it
-		// runs on the worker pool. Edges are then added sequentially in
-		// (connection, WDM) order so the network — and the min-cost flow it
-		// yields — is identical for every worker count.
-		type arcCand struct {
-			q      int // index into wdmIdx
-			cost   int64
-			distCM float64
-		}
-		// One flat candidate buffer with a per-connection stride (a
-		// connection has at most one candidate per WDM): workers fill
-		// disjoint rows, so the pass needs two allocations instead of one
-		// per connection.
-		stride := len(wdmIdx)
-		candBuf := make([]arcCand, len(connIdx)*stride)
-		candN := make([]int, len(connIdx))
-		spCost := cfg.Obs.Span("wdm/cost-arcs", obs.LaneFlow, obs.S("orient", orient))
-		err := parallel.ForEachContext(ctx, len(connIdx), cfg.Workers, func(k int) error {
-			ci := connIdx[k]
-			c := conns[ci]
-			row := candBuf[k*stride : k*stride]
-			for q, w := range wdmIdx {
-				d := math.Abs(c.coord() - pl.WDMs[w].CoordCM)
-				if d <= cfg.MaxAssignDistCM+geom.Eps || w == pl.InitialAssign[ci] {
-					cost := int64(d / cfg.MaxAssignDistCM * dispScale)
-					if cost > dispScale {
-						cost = dispScale
-					}
-					row = append(row, arcCand{q: q, cost: cost, distCM: d})
+		nArcs += len(o.arcs)
+		for k, ci := range o.conns {
+			for _, a := range o.arcs[o.arcStart[k]:o.arcStart[k+1]] {
+				if a.flow > 0 {
+					w := o.wdms[a.q]
+					out.Shares[ci] = append(out.Shares[ci], Share{WDM: w, Bits: a.flow})
+					out.DisplacedBitCM += a.distCM * float64(a.flow)
+					used[w] = true
 				}
 			}
-			candN[k] = len(row)
-			if len(row) == 0 {
-				return fmt.Errorf("wdm: connection %d reaches no WDM", ci)
-			}
-			return nil
-		})
-		spCost.End()
-		if err != nil {
-			return Assignment{}, err
 		}
-		type connArc struct {
-			id     int
-			conn   int // index into conns
-			wdm    int // index into pl.WDMs
-			distCM float64
-		}
-		nArcs := 0
-		for _, n := range candN {
-			nArcs += n
-		}
-		arcs := make([]connArc, 0, nArcs)
-		for k, ci := range connIdx {
-			c := conns[ci]
-			for _, a := range candBuf[k*stride : k*stride+candN[k]] {
-				id := g.AddEdge(1+k, 1+len(connIdx)+a.q, c.Bits, a.cost)
-				arcs = append(arcs, connArc{id: id, conn: ci, wdm: wdmIdx[a.q], distCM: a.distCM})
-			}
-		}
-		cArcs.Add(int64(len(arcs)))
-		g.Instrument(cfg.Obs)
-		res, err := g.MaxFlowContext(ctx, src, snk)
-		if err != nil {
-			return Assignment{}, err
-		}
-		if res.Flow != totalBits {
-			return Assignment{}, fmt.Errorf("wdm: assignment routed %d of %d bits",
-				res.Flow, totalBits)
-		}
-		for _, a := range arcs {
-			if f := g.Flow(a.id); f > 0 {
-				out.Shares[a.conn] = append(out.Shares[a.conn], Share{WDM: a.wdm, Bits: f})
-				out.DisplacedBitCM += a.distCM * float64(f)
-				used[a.wdm] = true
-			}
-		}
-		spAssign.End(obs.I("arcs", len(arcs)), obs.I("flow_bits", res.Flow))
 	}
 	for w := range pl.WDMs {
 		if used[w] {
 			out.UsedWDMs = append(out.UsedWDMs, w)
 		}
 	}
+	cfg.Obs.Counter("wdm.arcs").Add(int64(nArcs))
+	sp.End(obs.I("arcs", nArcs),
+		obs.I("flow_bits", nets[0].flow+nets[1].flow),
+		obs.I("components", len(comps)),
+		obs.I("max_component_conns", maxConns))
 	return out, nil
+}
+
+// dispScale quantises displacement: an arc's cost is its displacement in
+// dispScale steps of dis_u. Costs are integers so the flow arithmetic is
+// exact, and one step of a WDM's usage cost exceeds any total displacement.
+const dispScale = 1000
+
+// arc is one connection→WDM edge of the assignment network.
+type arc struct {
+	q      int32   // the WDM's position in its orientation's WDM list
+	edge   int32   // handle of the edge in the graph that solved it
+	cost   int64   // quantised displacement
+	distCM float64 // displacement
+	flow   int     // bits routed on it, set by the solve
+}
+
+// orientNet is one orientation's assignment network: source→connection
+// edges (capacity = bits), connection→WDM arcs and WDM→sink edges
+// (capacity = WDM capacity, cost = usageUnit·(q+1)).
+type orientNet struct {
+	conns     []int // input indices of the orientation's connections; k indexes it
+	wdms      []int // Placement.WDMs indices of the orientation; q indexes it
+	totalBits int
+	flow      int // bits routed, summed over the components after the solve
+	usageUnit int64
+	arcStart  []int32 // connection k's arcs are arcs[arcStart[k]:arcStart[k+1]], by q
+	arcs      []arc
+	local     []int32 // WDM q's position within its component
+}
+
+// newOrientNet builds one orientation's network. Connection k gets an arc
+// to every WDM within dis_u+Eps and to its own placement WDM, found with a
+// window search over the WDMs sorted by coordinate rather than by testing
+// every WDM, so the work and memory are linear in the arc count.
+func newOrientNet(conns []Connection, pl Placement, cfg Config, horizontal bool) (*orientNet, error) {
+	o := &orientNet{conns: make([]int, 0, len(conns)), wdms: make([]int, 0, len(pl.WDMs))}
+	for i, c := range conns {
+		if c.Horizontal() == horizontal {
+			o.conns = append(o.conns, i)
+			o.totalBits += c.Bits
+		}
+	}
+	if len(o.conns) == 0 {
+		return o, nil
+	}
+	qOf := make([]int32, len(pl.WDMs)) // -1: the other orientation
+	for w, wd := range pl.WDMs {
+		qOf[w] = -1
+		if wd.Horizontal == horizontal {
+			qOf[w] = int32(len(o.wdms))
+			o.wdms = append(o.wdms, w)
+		}
+	}
+	o.usageUnit = int64(o.totalBits)*dispScale + 1
+	coord := func(q int32) float64 { return pl.WDMs[o.wdms[q]].CoordCM }
+	byCoord := make([]int32, len(o.wdms))
+	for q := range byCoord {
+		byCoord[q] = int32(q)
+	}
+	slices.SortFunc(byCoord, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(coord(a), coord(b)), cmp.Compare(a, b))
+	})
+
+	// window returns the WDMs (by q) with coordinates within reach of x,
+	// bracketed by binary search: |x−y| ≤ reach is monotone on either side
+	// of x in floating point too.
+	reach := cfg.MaxAssignDistCM + geom.Eps
+	window := func(x float64) []int32 {
+		lo := sort.Search(len(byCoord), func(i int) bool {
+			y := coord(byCoord[i])
+			return y >= x || x-y <= reach
+		})
+		hi := lo + sort.Search(len(byCoord)-lo, func(i int) bool {
+			y := coord(byCoord[lo+i])
+			return y > x && y-x > reach
+		})
+		return byCoord[lo:hi]
+	}
+	nArcs := 0
+	for _, ci := range o.conns {
+		nArcs += len(window(conns[ci].coord())) + 1
+	}
+	o.arcs = make([]arc, 0, nArcs)
+	o.arcStart = make([]int32, len(o.conns)+1)
+	var qs []int32
+	for k, ci := range o.conns {
+		x := conns[ci].coord()
+		qs = qs[:0]
+		for _, q := range window(x) {
+			if math.Abs(x-coord(q)) <= reach {
+				qs = append(qs, q)
+			}
+		}
+		if w := pl.InitialAssign[ci]; w >= 0 && w < len(pl.WDMs) && qOf[w] >= 0 && !slices.Contains(qs, qOf[w]) {
+			qs = append(qs, qOf[w])
+		}
+		if len(qs) == 0 {
+			return nil, fmt.Errorf("wdm: connection %d reaches no WDM", ci)
+		}
+		slices.Sort(qs)
+		for _, q := range qs {
+			d := math.Abs(x - coord(q))
+			cost := min(int64(d/cfg.MaxAssignDistCM*dispScale), dispScale)
+			o.arcs = append(o.arcs, arc{q: q, cost: cost, distCM: d})
+		}
+		o.arcStart[k+1] = int32(len(o.arcs))
+	}
+	return o, nil
+}
+
+// component is one connected piece of an orientation's network.
+type component struct {
+	net   *orientNet
+	conns []int32 // connection positions k, ascending
+	wdms  []int32 // WDM positions q, ascending
+	flow  int     // bits routed, set by solve
+}
+
+// split appends the network's connected components to comps, ordered by
+// their first connection. Union-find over the arcs roots every set at its
+// smallest node; connections are numbered before WDMs, so a set holding a
+// connection is rooted at one, and WDMs no arc reaches are left out.
+func (o *orientNet) split(comps []component) []component {
+	nc, nw := len(o.conns), len(o.wdms)
+	if nc == 0 {
+		return comps
+	}
+	parent := make([]int32, nc+nw)
+	for v := range parent {
+		parent[v] = int32(v)
+	}
+	find := func(v int32) int32 {
+		for parent[v] != v {
+			parent[v] = parent[parent[v]]
+			v = parent[v]
+		}
+		return v
+	}
+	for k := range nc {
+		for _, a := range o.arcs[o.arcStart[k]:o.arcStart[k+1]] {
+			rk, rq := find(int32(k)), find(int32(nc)+a.q)
+			parent[max(rk, rq)] = min(rk, rq)
+		}
+	}
+	roots := 0
+	for v := range parent {
+		parent[v] = find(int32(v))
+		if v < nc && parent[v] == int32(v) {
+			roots++
+		}
+	}
+	comps = slices.Grow(comps, roots)
+	// Component ids in place of roots; roots precede their members.
+	first := len(comps)
+	for v, r := range parent {
+		switch {
+		case r >= int32(nc):
+			parent[v] = -1
+		case r == int32(v):
+			parent[v] = int32(len(comps) - first)
+			comps = append(comps, component{net: o})
+		default:
+			parent[v] = parent[r]
+		}
+	}
+	// Lay the members out component by component in one buffer per kind,
+	// each component's slice capped at its own share.
+	sizes := make([][2]int, len(comps)-first)
+	nwIn := 0
+	for v, id := range parent {
+		switch {
+		case id < 0:
+		case v < nc:
+			sizes[id][0]++
+		default:
+			sizes[id][1]++
+			nwIn++
+		}
+	}
+	connBuf, wdmBuf := make([]int32, nc), make([]int32, nwIn)
+	for id, sz := range sizes {
+		c := &comps[first+id]
+		c.conns, connBuf = connBuf[:0:sz[0]], connBuf[sz[0]:]
+		c.wdms, wdmBuf = wdmBuf[:0:sz[1]], wdmBuf[sz[1]:]
+	}
+	o.local = make([]int32, nw)
+	for v, id := range parent {
+		if id < 0 {
+			continue
+		}
+		c := &comps[first+int(id)]
+		if v < nc {
+			c.conns = append(c.conns, int32(v))
+		} else {
+			o.local[v-nc] = int32(len(c.wdms))
+			c.wdms = append(c.wdms, int32(v-nc))
+		}
+	}
+	return comps
+}
+
+// solve runs the min-cost max-flow of the component on g, the induced
+// subnetwork of its orientation's network with edges added in the same
+// relative order, and records the flow of every arc.
+func (c *component) solve(ctx context.Context, g *mcmf.Graph, conns []Connection, capacity int) error {
+	o := c.net
+	nc := len(c.conns)
+	snk := nc + len(c.wdms) + 1
+	g.Reset(snk + 1)
+	for i, k := range c.conns {
+		g.AddEdge(0, 1+i, conns[o.conns[k]].Bits, 0)
+	}
+	for j, q := range c.wdms {
+		g.AddEdge(1+nc+j, snk, capacity, o.usageUnit*int64(q+1))
+	}
+	for i, k := range c.conns {
+		bits := conns[o.conns[k]].Bits
+		for a := o.arcStart[k]; a < o.arcStart[k+1]; a++ {
+			ar := &o.arcs[a]
+			ar.edge = int32(g.AddEdge(1+i, 1+nc+int(o.local[ar.q]), bits, ar.cost))
+		}
+	}
+	res, err := g.MaxFlowContext(ctx, 0, snk)
+	if err != nil {
+		return err
+	}
+	c.flow = res.Flow
+	for _, k := range c.conns {
+		for a := o.arcStart[k]; a < o.arcStart[k+1]; a++ {
+			o.arcs[a].flow = g.Flow(int(o.arcs[a].edge))
+		}
+	}
+	return nil
 }
 
 // PlacementAssignment derives an Assignment directly from the sweep

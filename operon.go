@@ -130,8 +130,8 @@ type Config struct {
 	SkipWDM bool
 	// Workers bounds the worker pool shared by every parallel stage of the
 	// flow — per-group signal processing, baseline construction, candidate
-	// generation, Lagrangian pricing, and WDM arc costing (0 = NumCPU).
-	// Results are bit-identical regardless of the worker count.
+	// generation, Lagrangian pricing, and the WDM assignment components
+	// (0 = NumCPU). Results are bit-identical regardless of the worker count.
 	Workers int
 	// Obs, when non-nil, receives the flow's spans, events, and counters:
 	// stage spans ("stage/process", ...), per-hyper-net candidate spans on
