@@ -12,8 +12,10 @@ RACE_PKGS = ./internal/parallel ./internal/selection ./internal/signal \
 
 check: vet docs-lint test race
 
+# gofmt -l prints every file whose formatting differs; any output fails.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # Enforce 100% doc-comment coverage on the public surface of the flow
 # package and the solver substrate (see cmd/docscheck for the audited set).
@@ -121,3 +123,4 @@ perfbench-check:
 # corpus directory, so a CI failure leaves a reproducer in the log.
 fuzz-smoke:
 	$(GO) test ./internal/wdm -run '^$$' -fuzz '^FuzzAssignMatchesMonolithic$$' -fuzztime 10s
+	$(GO) test ./internal/geom -run '^$$' -fuzz '^FuzzCountCrossings$$' -fuzztime 10s

@@ -138,7 +138,7 @@ func BenchmarkILP(b *testing.B) {
 		defer cancel()
 		return selection.SolveILP(inst, selection.ILPOptions{Ctx: ctx})
 	}
-	// One throwaway solve warms the cross-loss caches.
+	// One throwaway solve builds the crossing-loss table.
 	if _, err := solve(); err != nil {
 		b.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func lrInstance(b *testing.B) *selection.Instance {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm the cross-loss cache so worker-count variants compare fairly.
+	// Build the crossing-loss table once so worker-count variants compare fairly.
 	if _, err := selection.SolveLR(inst, selection.LROptions{}); err != nil {
 		b.Fatal(err)
 	}

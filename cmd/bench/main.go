@@ -509,9 +509,11 @@ func main() {
 		for _, spec := range benchgen.MegaSpecs() {
 			flowName := "Table1/OPERON-LR/" + spec.Name + "/WorkersN"
 			wdmName := "Fig8/WDM/" + spec.Name
+			instName := "Selection/Instance/" + spec.Name
+			lrName := "LRPricing/" + spec.Name
 			ilpName := fmt.Sprintf("ILP/%s/First%d", spec.Name, megaILPNets)
 			if !megaSel[spec.Name] {
-				rep.Skipped = append(rep.Skipped, flowName, wdmName, ilpName)
+				rep.Skipped = append(rep.Skipped, flowName, wdmName, instName, lrName, ilpName)
 				continue
 			}
 			md, err := benchgen.Generate(spec)
@@ -537,6 +539,31 @@ func main() {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, _, _, err := wdm.Run(mres.Connections, mwcfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			// The selection layer alone on the flow's candidates: instance
+			// setup (the interaction sweep), then an LR solve on a fresh
+			// instance per op, so the crossing-loss table build is counted.
+			record(instName, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := selection.NewInstance(mres.Nets, cfg.Lib); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			record(lrName, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					inst, err := selection.NewInstance(mres.Nets, cfg.Lib)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if _, err := selection.SolveLR(inst, selection.LROptions{Workers: cfg.Workers}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -831,8 +858,8 @@ func mustInstance(d signal.Design, cfg operon.Config) *selection.Instance {
 	if err != nil {
 		fatal(err)
 	}
-	// Warm the instance's cross-loss cache so the Workers1/WorkersN
-	// comparison measures the pricing loops, not who fills the cache first.
+	// Build the instance's crossing-loss table with one solve, so the
+	// Workers1/WorkersN comparison measures the pricing loops alone.
 	if _, err := selection.SolveLR(inst, selection.LROptions{}); err != nil {
 		fatal(err)
 	}

@@ -42,6 +42,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"time"
 
 	operon "operon"
@@ -99,6 +100,7 @@ func main() {
 	rep.Mix = *mix
 	rep.Seed = *seed
 	rep.Generated = time.Now().UTC().Format(time.RFC3339)
+	rep.CPUs, rep.GOMAXPROCS = runtime.NumCPU(), runtime.GOMAXPROCS(0)
 
 	if shutdown != nil {
 		if err := shutdown(); err != nil {

@@ -28,6 +28,10 @@ type Report struct {
 	Seed        int64  `json:"seed"`
 	Requests    int    `json:"requests"`
 	Concurrency int    `json:"concurrency"`
+	// CPUs and GOMAXPROCS describe the machine the run measured; latency
+	// baselines compare only across equal values.
+	CPUs       int `json:"cpus,omitempty"`
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 	// DurationS is the replay wall clock; ThroughputRPS = Requests/DurationS.
 	DurationS     float64 `json:"duration_s"`
 	ThroughputRPS float64 `json:"throughput_rps"`

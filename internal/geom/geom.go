@@ -86,11 +86,13 @@ func (s Segment) Horizontal() bool {
 	return math.Abs(s.B.X-s.A.X) >= math.Abs(s.B.Y-s.A.Y)
 }
 
-// BBox returns the axis-aligned bounding box of the segment.
+// BBox returns the axis-aligned bounding box of the segment. The builtin
+// min/max match math.Min/Max on NaN and signed zeros and inline, which
+// matters in the CountCrossings inner loop.
 func (s Segment) BBox() Rect {
 	return Rect{
-		Lo: Point{math.Min(s.A.X, s.B.X), math.Min(s.A.Y, s.B.Y)},
-		Hi: Point{math.Max(s.A.X, s.B.X), math.Max(s.A.Y, s.B.Y)},
+		Lo: Point{min(s.A.X, s.B.X), min(s.A.Y, s.B.Y)},
+		Hi: Point{max(s.A.X, s.B.X), max(s.A.Y, s.B.Y)},
 	}
 }
 

@@ -187,11 +187,11 @@ func nodeDepth(nd *bnode) int {
 // Node lifecycle under speculation. Only nodePending nodes may be picked
 // up by a worker; every other state is owned by whoever set it.
 const (
-	nodePending int32 = iota // on the frontier, relaxation not started
-	nodeClaimed              // decision loop solves (or has consumed) it
-	nodeSolving              // a worker is speculatively solving it
-	nodeDone                 // speculative result attached, awaiting consumption
-	nodeDiscarded            // pruned; an in-flight result is dropped by its worker
+	nodePending   int32 = iota // on the frontier, relaxation not started
+	nodeClaimed                // decision loop solves (or has consumed) it
+	nodeSolving                // a worker is speculatively solving it
+	nodeDone                   // speculative result attached, awaiting consumption
+	nodeDiscarded              // pruned; an in-flight result is dropped by its worker
 )
 
 // bnode is one branch-and-bound node: a single bound tightening relative
@@ -266,12 +266,12 @@ type search struct {
 	solver *lp.BoundedSolver
 	res    Result
 
-	rootLo, rootUp   []float64
-	lo, up           []float64 // per-node scratch, decision thread only
-	savedLo, savedUp []float64
+	rootLo, rootUp    []float64
+	lo, up            []float64 // per-node scratch, decision thread only
+	savedLo, savedUp  []float64
 	nodeSol, roundSol *lp.Solution
-	roundBasis       lp.Basis
-	incumbent        []float64
+	roundBasis        lp.Basis
+	incumbent         []float64
 
 	cNodes, cIncumbents, cBasisReuse *obs.Counter
 	cSpecSolves, cSpecWasted         *obs.Counter

@@ -218,7 +218,7 @@ func (ps *presolver) init(p Problem, lo, up []float64, integer []bool) {
 	colBacking := make([]int32, 0, len(backing))
 	off := 0
 	for j := 0; j < n; j++ {
-		ps.colRows[j] = colBacking[off:off : off+ps.colNNZ[j]]
+		ps.colRows[j] = colBacking[off : off : off+ps.colNNZ[j]]
 		off += ps.colNNZ[j]
 	}
 	for i := range ps.rows {

@@ -26,8 +26,8 @@ type ILPOptions struct {
 	MaxNodes int
 	// MaxTableauBytes caps the LP tableau memory (zero = library default).
 	MaxTableauBytes int64
-	// Workers sets the parallelism of the branch-and-bound search (zero =
-	// one per CPU, 1 = serial). The search is deterministic at any value —
+	// Workers sets the parallelism of the crossing-loss table build and the
+	// branch-and-bound search (zero = one per CPU, 1 = serial). The search is deterministic at any value —
 	// see package ilp for the contract.
 	Workers int
 	// Arena, when non-nil, supplies per-worker solver scratch reused across
@@ -68,14 +68,30 @@ type ILPResult struct {
 // omitted, the paper's §3.3 speed-up.
 //
 // On timeout without a provably optimal solution, the best incumbent (or a
-// repaired greedy selection when none exists) is returned with TimedOut set.
+// repaired greedy selection when none exists) is returned with TimedOut set;
+// a timeout during the crossing-loss table build, before the programme
+// exists, returns the repaired greedy selection with Status Limit.
 func SolveILP(inst *Instance, opt ILPOptions) (ILPResult, error) {
 	start := time.Now()
-	prob, varOf := buildProgram(inst)
+	ctx := opt.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	sp := opt.Obs.Span("selection/ilp", obs.LaneFlow)
+	tab, err := inst.crossTable(ctx, opt.Workers, opt.Obs)
+	if err != nil {
+		// Out of budget before the programme exists: the same repaired
+		// greedy fallback as a search that found no incumbent.
+		sp.End(obs.S("status", ilp.Limit.String()))
+		sel, err := inst.GreedyIndependent()
+		if err != nil {
+			return ILPResult{}, err
+		}
+		return ILPResult{Selection: sel, Status: ilp.Limit, TimedOut: true, Elapsed: time.Since(start)}, nil
+	}
+	prob, varOf := buildProgram(inst, tab)
 	res := ILPResult{NumVars: prob.LP.NumVars, NumRows: len(prob.LP.Rows)}
 
-	sp := opt.Obs.Span("selection/ilp", obs.LaneFlow,
-		obs.I("vars", res.NumVars), obs.I("rows", res.NumRows))
 	ir, err := ilp.Solve(prob, ilp.Options{
 		Ctx:             opt.Ctx,
 		MaxNodes:        opt.MaxNodes,
@@ -84,7 +100,8 @@ func SolveILP(inst *Instance, opt ILPOptions) (ILPResult, error) {
 		Arena:           opt.Arena,
 		Obs:             opt.Obs,
 	})
-	sp.End(obs.I("nodes", ir.Nodes), obs.S("status", ir.Status.String()))
+	sp.End(obs.I("vars", res.NumVars), obs.I("rows", res.NumRows),
+		obs.I("nodes", ir.Nodes), obs.S("status", ir.Status.String()))
 	if err != nil {
 		return ILPResult{}, err
 	}
@@ -132,7 +149,7 @@ func SolveILP(inst *Instance, opt ILPOptions) (ILPResult, error) {
 
 // buildProgram constructs the linearised 0-1 programme of Formula (3) for
 // the instance, returning it with the (net, candidate) → variable map.
-func buildProgram(inst *Instance) (ilp.Problem, [][]int) {
+func buildProgram(inst *Instance, tab *crossTable) (ilp.Problem, [][]int) {
 	// Variable layout: one binary per (net, candidate), then one continuous
 	// y per interacting candidate pair with non-zero crossing loss.
 	varOf := make([][]int, len(inst.Nets))
@@ -162,6 +179,7 @@ func buildProgram(inst *Instance) (ilp.Problem, [][]int) {
 	}
 
 	// Pair variables y_{ij,mn}, created on demand.
+	type pairKey struct{ i, j, m, n int }
 	pairVar := map[pairKey]int{}
 	getPair := func(i, j, m, n int) int {
 		// Canonical orientation: y is shared by both directions of the pair.
@@ -189,16 +207,19 @@ func buildProgram(inst *Instance) (ilp.Problem, [][]int) {
 
 	// Detection constraint per optical path of every candidate.
 	for i, n := range inst.Nets {
-		inter := inst.InteractingNets(i)
+		lo, hi := inst.interStart[i], inst.interStart[i+1]
+		base, np := inst.netPaths(i)
 		for j, c := range n.Cands {
 			for p, path := range c.Paths {
 				row := lp.Row{Sense: lp.LE, RHS: inst.Lib.MaxLossDB}
 				row.Terms = append(row.Terms, lp.Term{
 					Var: varOf[i][j], Coeff: path.FixedLossDB,
 				})
-				for _, m := range inter {
+				slot := inst.pathOff[i][j] - base + p
+				for e := lo; e < hi; e++ {
+					m := inst.interNets[e]
 					for nn := range inst.Nets[m].Cands {
-						lx := inst.CrossLossDB(i, j, m, nn)[p]
+						lx := tab.loss[tab.off[e]+nn*np+slot]
 						if lx <= geom.Eps {
 							continue
 						}

@@ -13,7 +13,6 @@ package selection
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"operon/internal/codesign"
 	"operon/internal/geom"
@@ -52,31 +51,23 @@ type Instance struct {
 	// segments; hasOpt[i][j] reports whether it has any.
 	candBox [][]geom.Rect
 	hasOpt  [][]bool
-	// crossCache memoises per-path crossing loss between candidate pairs.
-	// Guarded by crossMu: the LR pricing step queries it from many workers.
-	// Values are pure functions of the instance, so a racing recompute
-	// stores the same slice contents either way.
-	crossMu    sync.RWMutex
-	crossCache map[pairKey][]float64
-	// crossSlab is the current slab block cached values are sub-sliced from
-	// (guarded by crossMu); handing out slab regions instead of one heap
-	// allocation per cache entry keeps the miss path to ~1 allocation per
-	// 4096 path slots.
-	crossSlab []float64
-	crossOff  int
-	// interactions[i] lists the nets whose candidate boxes overlap net i's;
-	// precomputed in NewInstance so concurrent readers need no locking.
-	interactions [][]int
+	// interNets[interStart[i]:interStart[i+1]] lists, ascending, the nets
+	// whose candidate boxes overlap net i's (see buildInteractions). The
+	// position of an entry in interNets is the edge index of the pair.
+	interStart []int
+	interNets  []int
 	// pathOff[i][j] is the offset of candidate (i,j)'s paths in any flat
 	// per-path vector of length numPaths (the LR multiplier layout).
 	pathOff  [][]int
 	numPaths int
-	// evalExtra is scratch for evaluateInto (the sequential evaluate/repair
-	// path); Evaluate stays pure and allocates its own.
+	// pathBox[pathOff[i][j]+p] is the bounding box of that path's segments.
+	pathBox []geom.Rect
+	// evalExtra is per-path scratch for Evaluate.
 	evalExtra []float64
+	// cross is the crossing-loss table of the LR and ILP solvers, built on
+	// their first call (see crossTable); nil until then.
+	cross *crossTable
 }
-
-type pairKey struct{ i, j, m, n int }
 
 // NewInstance validates the nets and prepares interaction bookkeeping.
 func NewInstance(nets []Net, lib optics.Library) (*Instance, error) {
@@ -86,11 +77,7 @@ func NewInstance(nets []Net, lib optics.Library) (*Instance, error) {
 	if err := lib.Validate(); err != nil {
 		return nil, err
 	}
-	inst := &Instance{
-		Nets:       nets,
-		Lib:        lib,
-		crossCache: make(map[pairKey][]float64),
-	}
+	inst := &Instance{Nets: nets, Lib: lib}
 	inst.candBox = make([][]geom.Rect, len(nets))
 	inst.hasOpt = make([][]bool, len(nets))
 	for i, n := range nets {
@@ -124,146 +111,23 @@ func NewInstance(nets []Net, lib optics.Library) (*Instance, error) {
 		}
 	}
 	inst.numPaths = off
-	inst.precomputeInteractions()
-	return inst, nil
-}
-
-// precomputeInteractions fills interactions[i] for every net: the §3.3
-// bounding-box pruning that drops crossing terms between non-overlapping
-// hyper nets. Doing it eagerly keeps InteractingNets a lock-free read for
-// the parallel pricing step.
-func (inst *Instance) precomputeInteractions() {
-	n := len(inst.Nets)
-	netBox := make([]geom.Rect, n)
-	netHas := make([]bool, n)
-	for i := range inst.Nets {
-		for j := range inst.Nets[i].Cands {
-			if inst.hasOpt[i][j] {
-				if !netHas[i] {
-					netBox[i] = inst.candBox[i][j]
-					netHas[i] = true
-				} else {
-					netBox[i] = netBox[i].Union(inst.candBox[i][j])
-				}
-			}
-		}
-	}
-	inst.interactions = make([][]int, n)
-	for i := 0; i < n; i++ {
-		out := []int{}
-		if netHas[i] {
-			for m := 0; m < n; m++ {
-				if m == i {
+	inst.pathBox = make([]geom.Rect, off)
+	for i, n := range nets {
+		for j, c := range n.Cands {
+			for p, path := range c.Paths {
+				if len(path.Segs) == 0 {
 					continue
 				}
-				for j := range inst.Nets[m].Cands {
-					if inst.hasOpt[m][j] && netBox[i].Overlaps(inst.candBox[m][j]) {
-						out = append(out, m)
-						break
-					}
+				box := path.Segs[0].BBox()
+				for _, s := range path.Segs[1:] {
+					box = box.Union(s.BBox())
 				}
+				inst.pathBox[inst.pathOff[i][j]+p] = box
 			}
 		}
-		inst.interactions[i] = out
 	}
-}
-
-// CrossLossDB returns, for each path of candidate (i,j), the crossing loss
-// in dB inflicted by candidate (m,n)'s waveguides. Results are memoised;
-// the cache is safe for concurrent use.
-func (inst *Instance) CrossLossDB(i, j, m, n int) []float64 {
-	key := pairKey{i, j, m, n}
-	inst.crossMu.RLock()
-	v, ok := inst.crossCache[key]
-	inst.crossMu.RUnlock()
-	if ok {
-		return v
-	}
-	ci := inst.Nets[i].Cands[j]
-	inst.crossMu.Lock()
-	out := inst.slabAlloc(len(ci.Paths))
-	inst.crossMu.Unlock()
-	if i != m && inst.hasOpt[i][j] && inst.hasOpt[m][n] &&
-		inst.candBox[i][j].Overlaps(inst.candBox[m][n]) {
-		other := inst.Nets[m].Cands[n].OpticalSegs
-		for p, path := range ci.Paths {
-			crossings := geom.CountCrossings(path.Segs, other)
-			out[p] = inst.Lib.CrossingLossDB(crossings)
-		}
-	}
-	inst.crossMu.Lock()
-	inst.crossCache[key] = out
-	inst.crossMu.Unlock()
-	return out
-}
-
-// SeedCrossCache copies the crossing-loss memo of a previous instance into
-// inst for every cached pair whose two nets both survive into the new
-// instance. newToPrev[i] gives the previous index of new net i, or -1 when
-// the net is new or rebuilt; mapped nets must carry candidate lists reused
-// verbatim from the previous solve (same geometry, same order), which the
-// bit-identity of the memoised values depends on. Value slices are shared,
-// not copied — they are write-once. Returns the number of entries seeded;
-// zero (and no seeding) when the libraries differ.
-func (inst *Instance) SeedCrossCache(prev *Instance, newToPrev []int) int {
-	if prev == nil || inst.Lib != prev.Lib || len(newToPrev) != len(inst.Nets) {
-		return 0
-	}
-	prevToNew := make([]int, len(prev.Nets))
-	for i := range prevToNew {
-		prevToNew[i] = -1
-	}
-	for i, pi := range newToPrev {
-		if pi >= 0 && pi < len(prev.Nets) {
-			prevToNew[pi] = i
-		}
-	}
-	prev.crossMu.RLock()
-	defer prev.crossMu.RUnlock()
-	inst.crossMu.Lock()
-	defer inst.crossMu.Unlock()
-	seeded := 0
-	for k, v := range prev.crossCache {
-		if k.i >= len(prevToNew) || k.m >= len(prevToNew) {
-			continue
-		}
-		ni, nm := prevToNew[k.i], prevToNew[k.m]
-		if ni < 0 || nm < 0 {
-			continue
-		}
-		// Defensive bounds: a mapped net must still own the cached candidate
-		// indices, and the path count must match the cached vector.
-		if k.j >= len(inst.Nets[ni].Cands) || k.n >= len(inst.Nets[nm].Cands) {
-			continue
-		}
-		if len(v) != len(inst.Nets[ni].Cands[k.j].Paths) {
-			continue
-		}
-		inst.crossCache[pairKey{ni, k.j, nm, k.n}] = v
-		seeded++
-	}
-	return seeded
-}
-
-// slabAlloc carves a zeroed n-slot region out of the crossing-loss slab,
-// starting a fresh block when the current one is exhausted. Callers must
-// hold crossMu. Regions are handed out once and never recycled, so a fresh
-// block's zeroing is all the initialisation they need.
-func (inst *Instance) slabAlloc(n int) []float64 {
-	if n == 0 {
-		return nil
-	}
-	if len(inst.crossSlab)-inst.crossOff < n {
-		size := 4096
-		if n > size {
-			size = n
-		}
-		inst.crossSlab = make([]float64, size)
-		inst.crossOff = 0
-	}
-	s := inst.crossSlab[inst.crossOff : inst.crossOff+n : inst.crossOff+n]
-	inst.crossOff += n
-	return s
+	inst.buildInteractions()
+	return inst, nil
 }
 
 // InteractingNets returns, for net i, the other nets whose candidate
@@ -271,7 +135,8 @@ func (inst *Instance) slabAlloc(n int) []float64 {
 // crossing variables between non-overlapping hyper nets. The lists are
 // precomputed, so this is a lock-free read.
 func (inst *Instance) InteractingNets(i int) []int {
-	return inst.interactions[i]
+	lo, hi := inst.interStart[i], inst.interStart[i+1]
+	return inst.interNets[lo:hi:hi]
 }
 
 // Selection is a complete assignment of one candidate per net.
@@ -288,10 +153,10 @@ type Selection struct {
 	MaxViolationDB float64
 }
 
-// Evaluate computes the exact power and loss legality of a choice vector.
-// It reuses instance-owned scratch, so like Repair it must not be called
-// from concurrent goroutines (the parallel pricing step only reads
-// CrossLossDB, which stays safe for concurrent use).
+// Evaluate computes the exact power and loss legality of a choice vector,
+// counting the crossings of each interacting chosen pair directly. It
+// reuses instance-owned scratch, so like Repair and the solvers it must not
+// be called from concurrent goroutines.
 func (inst *Instance) Evaluate(choice []int) (Selection, error) {
 	if len(choice) != len(inst.Nets) {
 		return Selection{}, fmt.Errorf("selection: choice length %d for %d nets",
@@ -317,9 +182,11 @@ func (inst *Instance) Evaluate(choice []int) (Selection, error) {
 			extra[p] = 0
 		}
 		for _, m := range inst.InteractingNets(i) {
-			lx := inst.CrossLossDB(i, j, m, choice[m])
-			for p := range extra {
-				extra[p] += lx[p]
+			if !inst.crosses(i, j, m, choice[m]) {
+				continue
+			}
+			for p := range cand.Paths {
+				extra[p] += inst.pathCrossDB(i, j, p, m, choice[m])
 			}
 		}
 		for p, path := range cand.Paths {
@@ -351,7 +218,9 @@ func (inst *Instance) Repair(sel Selection) (Selection, error) {
 			for p, path := range cand.Paths {
 				loss := path.FixedLossDB
 				for _, m := range inst.InteractingNets(i) {
-					loss += inst.CrossLossDB(i, j, m, cur.Choice[m])[p]
+					if inst.crosses(i, j, m, cur.Choice[m]) {
+						loss += inst.pathCrossDB(i, j, p, m, cur.Choice[m])
+					}
 				}
 				if v := loss - inst.Lib.MaxLossDB; v > worstViol {
 					worstViol = v

@@ -12,12 +12,13 @@ import (
 
 // LROptions tunes the Lagrangian-relaxation solver of §3.4.
 type LROptions struct {
-	// Ctx, when non-nil, bounds the solve: it is polled at each iteration
-	// boundary (never inside the parallel pricing loop, which keeps partial
-	// iterations — and with them nondeterminism — impossible). On
-	// cancellation the iteration stops early, LRResult.Stopped is set, and
-	// the current choice is still evaluated and repaired to legality, so
-	// callers always receive a feasible selection. Nil means
+	// Ctx, when non-nil, bounds the solve: it is polled between the nets of
+	// the crossing-loss table build and at each iteration boundary (never
+	// inside the parallel pricing loop, which keeps partial iterations —
+	// and with them nondeterminism — impossible). On cancellation a partial
+	// table is discarded, the iteration stops early, LRResult.Stopped is
+	// set, and the current choice is still evaluated and repaired to
+	// legality, so callers always receive a feasible selection. Nil means
 	// context.Background().
 	Ctx context.Context
 	// MaxIters bounds the multiplier-update iterations; the paper stops at
@@ -29,8 +30,8 @@ type LROptions struct {
 	ConvergeRatio float64
 	// StepScale scales the sub-gradient step. Defaults to 1 when zero.
 	StepScale float64
-	// Workers bounds the per-net parallelism of the pricing and
-	// multiplier-update steps (0 = NumCPU). Given fixed multipliers and the
+	// Workers bounds the per-net parallelism of the table build and the
+	// pricing and multiplier-update steps (0 = NumCPU). Given fixed multipliers and the
 	// previous iteration's selection, nets are independent, so the result
 	// is bit-identical for every worker count.
 	Workers int
@@ -133,6 +134,14 @@ func SolveLR(inst *Instance, opt LROptions) (LRResult, error) {
 
 	sp := opt.Obs.Span("selection/lr", obs.LaneFlow, obs.I("nets", len(inst.Nets)))
 	res := LRResult{}
+	// The crossing-loss table is built inside the solve, so its cost counts
+	// in the selection stage. A cancelled build skips the iteration: the
+	// greedy seed below is repaired and returned with Stopped set.
+	tab, err := inst.crossTable(ctx, opt.Workers, opt.Obs)
+	if err != nil {
+		res.Stopped = true
+		maxIters = 0
+	}
 	prevPower, prevViol := -1.0, -1
 	choice := append([]int(nil), prev...)
 
@@ -158,7 +167,8 @@ func SolveLR(inst *Instance, opt LROptions) (LRResult, error) {
 		// worker only writes choice[i] and its own diagnostic slots.
 		_ = parallel.ForEach(len(inst.Nets), opt.Workers, func(i int) error {
 			n := inst.Nets[i]
-			inter := inst.InteractingNets(i)
+			lo, hi := inst.interStart[i], inst.interStart[i+1]
+			base, np := inst.netPaths(i)
 			var ls, lq float64
 			for j, c := range n.Cands {
 				off := inst.pathOff[i][j]
@@ -177,18 +187,26 @@ func SolveLR(inst *Instance, opt LROptions) (LRResult, error) {
 				// the previous selection).
 				for p, path := range c.Paths {
 					loss := path.FixedLossDB
-					for _, m := range inter {
-						loss += inst.CrossLossDB(i, j, m, prev[m])[p]
+					slot := off - base + p
+					for e := lo; e < hi; e++ {
+						loss += tab.loss[tab.off[e]+prev[inst.interNets[e]]*np+slot]
 					}
 					w += lambda[off+p] * loss
 				}
 				// Symmetric linearised term: crossing loss this candidate
-				// inflicts on the previously selected candidates' paths.
-				for _, m := range inter {
+				// inflicts on the previously selected candidates' paths. It is
+				// exactly zero when i is not in m's interaction list.
+				for e := lo; e < hi; e++ {
+					r := tab.rev[e]
+					if r < 0 {
+						continue
+					}
+					m := inst.interNets[e]
 					mj := prev[m]
-					lx := inst.CrossLossDB(m, mj, i, j)
 					moff := inst.pathOff[m][mj]
-					for p := range lx {
+					mbase, mnp := inst.netPaths(m)
+					lx := tab.loss[tab.off[r]+j*mnp+moff-mbase:]
+					for p := range inst.Nets[m].Cands[mj].Paths {
 						w += lambda[moff+p] * lx[p]
 					}
 				}
@@ -219,7 +237,8 @@ func SolveLR(inst *Instance, opt LROptions) (LRResult, error) {
 		// writes only lambda[i] and reads the now-fixed choice vector.
 		_ = parallel.ForEach(len(inst.Nets), opt.Workers, func(i int) error {
 			n := inst.Nets[i]
-			inter := inst.InteractingNets(i)
+			lo, hi := inst.interStart[i], inst.interStart[i+1]
+			base, np := inst.netPaths(i)
 			for j, c := range n.Cands {
 				selected := choice[i] == j
 				off := inst.pathOff[i][j]
@@ -227,8 +246,9 @@ func SolveLR(inst *Instance, opt LROptions) (LRResult, error) {
 					var g float64
 					if selected {
 						loss := path.FixedLossDB
-						for _, m := range inter {
-							loss += inst.CrossLossDB(i, j, m, choice[m])[p]
+						slot := off - base + p
+						for e := lo; e < hi; e++ {
+							loss += tab.loss[tab.off[e]+choice[inst.interNets[e]]*np+slot]
 						}
 						g = loss - inst.Lib.MaxLossDB
 					} else {

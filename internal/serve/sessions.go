@@ -70,8 +70,6 @@ type ReuseStats struct {
 	CandsReused int `json:"cands_reused"`
 	// CandsRebuilt counts nets whose candidate sets were regenerated.
 	CandsRebuilt int `json:"cands_rebuilt"`
-	// CrossCacheSeeded counts transplanted crossing-loss memo entries.
-	CrossCacheSeeded int `json:"crosscache_seeded"`
 	// WDMReused marks a carried-over WDM placement/assignment.
 	WDMReused bool `json:"wdm_reused,omitempty"`
 }
@@ -372,15 +370,14 @@ func (s *Server) resolveSession(w http.ResponseWriter, r *http.Request, se *sess
 		SessionID: se.id,
 		Resolves:  se.resolves,
 		Reuse: ReuseStats{
-			Cold:             st.Cold,
-			FullReuse:        st.FullReuse,
-			GroupsReused:     st.GroupsReused,
-			GroupsRebuilt:    st.GroupsRebuilt,
-			TreesReused:      st.TreesReused,
-			CandsReused:      st.CandsReused,
-			CandsRebuilt:     st.CandsRebuilt,
-			CrossCacheSeeded: st.CrossCacheSeeded,
-			WDMReused:        st.WDMReused,
+			Cold:          st.Cold,
+			FullReuse:     st.FullReuse,
+			GroupsReused:  st.GroupsReused,
+			GroupsRebuilt: st.GroupsRebuilt,
+			TreesReused:   st.TreesReused,
+			CandsReused:   st.CandsReused,
+			CandsRebuilt:  st.CandsRebuilt,
+			WDMReused:     st.WDMReused,
 		},
 	})
 }

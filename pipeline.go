@@ -61,7 +61,6 @@ type sessionState struct {
 	trees      [][]steiner.Tree // nil when the generator needs none
 	contribs   [][]int          // per net, ascending env-contributor net indices
 	nets       []selection.Net
-	inst       *selection.Instance
 	res        *Result
 }
 
@@ -269,16 +268,12 @@ func solve(ctx context.Context, d signal.Design, cfg Config, ws *Workspace, prev
 	res.Nets = nets
 	stop(obs.I("nets", len(nets)))
 
-	// Stage 3: selection. The instance is rebuilt (its index bookkeeping is
-	// cheap) but seeded with every crossing-loss memo entry whose two nets
-	// both carried their candidates over — a pure memo, so seeding cannot
-	// change results.
+	// Stage 3: selection, on a fresh instance (its interaction lists are
+	// cheap to rebuild; the LR/ILP solvers build their crossing-loss table
+	// inside the stage).
 	inst, err := selection.NewInstance(nets, cfg.Lib)
 	if err != nil {
 		return nil, nil, st, err
-	}
-	if prev != nil && prev.inst != nil {
-		st.CrossCacheSeeded = inst.SeedCrossCache(prev.inst, candMap)
 	}
 	stop = startStage(cfg.Obs, "stage/selection", &res.Times.Selection)
 	if err := runSelection(ctx, cfg, cfg.Mode, ws, inst, res); err != nil {
@@ -319,7 +314,6 @@ func solve(ctx context.Context, d signal.Design, cfg Config, ws *Workspace, prev
 		trees:      trees,
 		contribs:   contribs,
 		nets:       nets,
-		inst:       inst,
 		res:        res,
 	}, st, nil
 }

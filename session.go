@@ -16,9 +16,7 @@ import (
 // solve, so that edit→re-solve loops skip every stage whose inputs did not
 // change. Apply mutates the pending design/config; Resolve re-runs the flow
 // reusing, for untouched signal groups, the per-group clustering, the
-// baseline Steiner trees, and the candidate sets of the previous solve,
-// plus the crossing-loss memo of the selection instance for every
-// carried-over net pair.
+// baseline Steiner trees, and the candidate sets of the previous solve.
 //
 // Correctness contract: Resolve is bit-identical to a cold RunContextWith
 // on the same design and config — reuse is restricted to stage outputs
@@ -301,9 +299,6 @@ type ResolveStats struct {
 	CandsReused int
 	// CandsRebuilt counts hyper nets whose candidate sets were regenerated.
 	CandsRebuilt int
-	// CrossCacheSeeded counts crossing-loss memo entries transplanted into
-	// the new selection instance.
-	CrossCacheSeeded int
 	// WDMReused reports that the WDM placement/assignment was carried over
 	// (identical nets and selection choice).
 	WDMReused bool
@@ -352,7 +347,6 @@ func (s *Session) recordStats(st ResolveStats) {
 	t.Counter("ws.session.reuse/trees").Add(int64(st.TreesReused))
 	t.Counter("ws.session.reuse/cands").Add(int64(st.CandsReused))
 	t.Counter("ws.session.dirty/cands").Add(int64(st.CandsRebuilt))
-	t.Counter("ws.session.reuse/crosscache").Add(int64(st.CrossCacheSeeded))
 }
 
 // contribsMatch reports whether net i's environment contributors map
